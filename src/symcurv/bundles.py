@@ -9,7 +9,6 @@ the pair of curvatures) follow from that formula and are re-verified
 numerically rather than trusted.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -93,11 +92,9 @@ class RecoveredHom:
         k = self.images.shape[1] if self.images.shape[0] else 0
         if ref is None or ref.dim == 0:
             return rp.trivial_rep(ref, k)
-        r2h = space.ref_to_h()
         out = np.zeros((ref.dim, k, k))
         for t in range(ref.dim):
-            skew = ex.to_float(ss.isotropy_skew(space, r2h[t]))
-            biv = bivector_coeffs_from_skew(skew)
+            biv = bivector_coeffs_from_skew(space.ad_ref[t])
             coeffs = self.image_basis.T @ biv
             resid = np.linalg.norm(biv - self.image_basis @ coeffs)
             if resid > 100 * EPS * max(1.0, np.linalg.norm(biv)):
@@ -107,13 +104,7 @@ class RecoveredHom:
         return rp.AlgebraRep(ref, out, label="recovered")
 
 
-def _unit_h(h_dim, idx):
-    v = ex.fzeros(h_dim)
-    v[idx] = ex.ONE
-    return v
-
-
-def induce(space, rep, curv=None) -> InducedBundle:
+def induce(space, rep) -> InducedBundle:
     """Curvature of the bundle attached to rep via R^E = rho o pihat^-1 o R^M."""
     ref = space.isotropy_ref
     ref_name = ref.name if ref is not None else None
@@ -121,7 +112,7 @@ def induce(space, rep, curv=None) -> InducedBundle:
         raise SourceMismatch(
             f"rep source {rep.source.name!r} does not match isotropy algebra "
             f"{ref_name!r} of {space.name}")
-    curv = curv or ss.curvature_operator(space)
+    curv = ss.curvature_operator(space)
     hc = ex.to_float(curv.h_coeff)
     if space.h_dim:
         h2r = ex.to_float(space.h_to_ref)
@@ -172,7 +163,7 @@ def check_kernel_inclusion(bundle, tol=None) -> IdentityReport:
     return IdentityReport(worst <= tol, worst, witness if worst > tol else None)
 
 
-def recover_rho_hat(space, blocks, curv=None, tol=None) -> RecoveredHom:
+def recover_rho_hat(space, blocks, tol=None) -> RecoveredHom:
     """Reconstruct rho-hat = R^E o (R^M)^{-1} on Im R^M and validate it.
 
     blocks is the candidate bundle curvature on basis bivectors. Raises
@@ -181,7 +172,7 @@ def recover_rho_hat(space, blocks, curv=None, tol=None) -> RecoveredHom:
     homomorphism on the holonomy algebra.
     """
     tol = 100 * EPS if tol is None else tol
-    curv = curv or ss.curvature_operator(space)
+    curv = ss.curvature_operator(space)
     blocks = np.asarray(blocks, dtype=float)
     n = space.m_dim
     scale = max(1.0, np.abs(blocks).max(initial=0.0))
@@ -418,7 +409,6 @@ def _rep_type(rep):
 def classify_bundles(space, rank_bound, weight_cap=6):
     """Enumerate parallel bundles of rank <= rank_bound up to equivalence."""
     irreps = catalog_irreps(space, rank_bound, weight_cap=weight_cap)
-    curv = ss.curvature_operator(space)
 
     candidates = []  # (tuple of labels, rep)
     def extend(start, labels, rep, dim):
@@ -442,12 +432,12 @@ def classify_bundles(space, rank_bound, weight_cap=6):
                for k in kept_reps):
             continue
         kept_reps.append(rep)
-        bundle = induce(space, rep, curv=curv)
+        bundle = induce(space, rep)
         try:
-            rec = recover_rho_hat(space, bundle.blocks, curv=curv)
+            rec = recover_rho_hat(space, bundle.blocks)
             back = rec.as_rep()
-            roundtrip = np.abs(back.images - _restrict_to_hol(
-                space, rep, curv)).max(initial=0.0) <= 1e-8
+            roundtrip = np.abs(back.images - rep.images).max(
+                initial=0.0) <= 1e-8
         except (BundleError, NotInImage):
             roundtrip = False
         try:
@@ -464,10 +454,3 @@ def classify_bundles(space, rank_bound, weight_cap=6):
         ))
     reports.sort(key=lambda r: (r.rank, r.label))
     return reports
-
-
-def _restrict_to_hol(space, rep, curv):
-    """Expected reconstruction target: for the classification spaces pihat
-    maps the isotropy algebra into Im R^M, so recovery should return the
-    rep itself."""
-    return rep.images

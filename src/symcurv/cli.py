@@ -127,7 +127,7 @@ def parse_rep(desc, space):
 def cmd_info(args):
     space = load_space(args.space, args.config)
     curv = ss.curvature_operator(space)
-    cond = ss.condition_a(space, curv)
+    cond = ss.condition_a(space)
     data = {
         "name": space.name,
         "dim_m": space.m_dim,
@@ -191,7 +191,7 @@ def cmd_verify(args):
     scale = max(1.0, float(np.abs(bundle.blocks).max(initial=0.0))) ** 2
     rand_ok = rand_worst <= (tol or 1e-8) * scale * 10
     try:
-        rec = bn.recover_rho_hat(space, bundle.blocks, curv=bundle.curv)
+        rec = bn.recover_rho_hat(space, bundle.blocks)
         back = rec.as_rep()
         rt_resid = float(np.abs(back.images - rep.images).max(initial=0.0))
         roundtrip_ok = rt_resid <= (tol or 1e-8)

@@ -33,9 +33,6 @@ class LieAlgebraModel:
     def structure_float(self):
         return np.asarray(self.structure, dtype=float)
 
-    def ip_float(self):
-        return np.asarray(self.inner_product, dtype=float)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

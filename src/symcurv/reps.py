@@ -501,35 +501,34 @@ def external_sum(r1, r2):
 # ---------------------------------------------------------------------------
 # commutant analysis
 
-def commutant_basis(rep, tol=None):
-    """Orthonormal basis (as matrices) of {C : [rho(X), C] = 0 for all X}."""
+def _intertwiners(r1, r2, tol=None):
+    """Orthonormal basis of {T : rho2(X) T = T rho1(X) for all X}, each T
+    flattened row-major to length n1 * n2, from one SVD of the Kronecker
+    system."""
     tol = EPS * 100 if tol is None else tol
-    n = rep.target_dim
-    if rep.source.dim == 0:
-        rows = np.zeros((1, n * n))
+    n1, n2 = r1.target_dim, r2.target_dim
+    if r1.source.dim == 0:
+        rows = np.zeros((1, n1 * n2))
     else:
         rows = np.concatenate([
-            np.kron(np.eye(n), m) - np.kron(m.T, np.eye(n)) for m in rep.images
+            np.kron(np.eye(n1), r2.images[t]) - np.kron(r1.images[t].T, np.eye(n2))
+            for t in range(r1.source.dim)
         ])
-    _, s, vt = np.linalg.svd(rows)
-    s = np.concatenate([s, np.zeros(n * n - len(s))])
-    null = vt[s <= tol * max(1.0, s.max(initial=1.0))]
-    return [v.reshape(n, n) for v in null]
+    # the U factor is never used; only a short system needs the full V
+    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    s = np.concatenate([s, np.zeros(n1 * n2 - len(s))])
+    return vt[s <= tol * max(1.0, s.max(initial=1.0))]
+
+
+def commutant_basis(rep, tol=None):
+    """Orthonormal basis (as matrices) of {C : [rho(X), C] = 0 for all X}."""
+    n = rep.target_dim
+    return [v.reshape(n, n) for v in _intertwiners(rep, rep, tol)]
 
 
 def hom_dim(r1, r2, tol=None):
     """Dimension of the space of intertwiners T with rho2(X) T = T rho1(X)."""
-    tol = EPS * 100 if tol is None else tol
-    n1, n2 = r1.target_dim, r2.target_dim
-    if r1.source.dim == 0:
-        return n1 * n2
-    rows = np.concatenate([
-        np.kron(np.eye(n1), r2.images[t]) - np.kron(r1.images[t].T, np.eye(n2))
-        for t in range(r1.source.dim)
-    ])
-    s = np.linalg.svd(rows, compute_uv=False)
-    s = np.concatenate([s, np.zeros(n1 * n2 - len(s))])
-    return int((s <= tol * max(1.0, s.max(initial=1.0))).sum())
+    return len(_intertwiners(r1, r2, tol))
 
 
 def equivalent(r1, r2, tol=None):
@@ -538,17 +537,10 @@ def equivalent(r1, r2, tol=None):
         return False
     if r1.source.dim != r2.source.dim:
         return False
-    tol = EPS * 100 if tol is None else tol
     n = r1.target_dim
     if r1.source.dim == 0:
         return True
-    rows = np.concatenate([
-        np.kron(np.eye(n), r2.images[t]) - np.kron(r1.images[t].T, np.eye(n))
-        for t in range(r1.source.dim)
-    ])
-    _, s, vt = np.linalg.svd(rows)
-    s = np.concatenate([s, np.zeros(n * n - len(s))])
-    null = vt[s <= tol * max(1.0, s.max(initial=1.0))]
+    null = _intertwiners(r1, r2, tol)
     if len(null) == 0:
         return False
     # for orthogonal reps a generic combination of intertwiners is invertible

@@ -97,13 +97,12 @@ def total_scalar_curvature(s_m, profile, a_norm):
     return s_m + profile.s_f - a_norm
 
 
-def base_scalar_curvature(space, curv=None):
+def base_scalar_curvature(space):
     """Scalar curvature of the base from the curvature operator.
 
     s_M = 2 sum_{a<b} K(x_a, x_b) = 2 tr-like sum of the diagonal of R^M
     in the bivector basis.
     """
-    from . import _exact as ex
     from . import symspace as ss
-    curv = curv or ss.curvature_operator(space)
+    curv = ss.curvature_operator(space)
     return 2.0 * float(sum(curv.matrix[p, p] for p in range(curv.dim)))

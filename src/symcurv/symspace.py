@@ -68,6 +68,35 @@ class SymmetricSpaceModel:
     def ref_to_h(self):
         return ex.inverse(np.asarray(self.h_to_ref, dtype=object))
 
+    @functools.cached_property
+    def ad_h(self):
+        """Exact ad(h)|_m in the orthonormal frame x_a = X_a / sqrt(d_a).
+
+        Shape (h_dim, m_dim, m_dim): ad(H_t) x_c = sum_e ad_h[t, e, c] x_e,
+        read off the slice structure[h, m, m]. The frame scale
+        sqrt(d_e / d_c) is only taken where that slice is nonzero.
+        """
+        d = self.metric_diag
+        s = self.g.structure[np.ix_(self.h_indices, self.m_indices,
+                                    self.m_indices)]
+        out = ex.fzeros((self.h_dim, self.m_dim, self.m_dim))
+        for t, c, e in zip(*np.nonzero(s)):
+            out[t, e, c] = s[t, c, e] * ex.fsqrt(d[e] / d[c])
+        return out
+
+    @functools.cached_property
+    def ad_ref(self):
+        """Read-only float ad(Y_t)|_m for each reference isotropy basis
+        element Y_t: ref_to_h() @ ad_h, shape (ref.dim, m_dim, m_dim)."""
+        out = ex.to_float(np.tensordot(self.ref_to_h(), self.ad_h, axes=(1, 0)))
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def _curvature(self):
+        # memo behind curvature_operator(), its only reader
+        return _curvature_from_slices(self)
+
 
 @dataclass
 class CurvatureOperator:
@@ -104,12 +133,6 @@ class ConditionAReport:
     witness: np.ndarray | None  # kernel vector outside span of brackets, floats
 
 
-def _basis_vec(dim, idx):
-    v = ex.fzeros(dim)
-    v[idx] = ex.ONE
-    return v
-
-
 def make_symmetric_space(g, h_indices, metric_diag, name, flat_dim=0,
                          isotropy_ref=None, h_to_ref=None):
     """Validated Cartan pair with a diagonal Ad(h)-invariant metric on m."""
@@ -122,36 +145,29 @@ def make_symmetric_space(g, h_indices, metric_diag, name, flat_dim=0,
         raise MetricNotInvariant("metric diagonal has wrong length")
     if any(d <= 0 for d in metric_diag):
         raise MetricNotInvariant("metric diagonal must be positive")
-    hset = set(h_indices)
-    mset = set(m_indices)
+    st = g.structure
 
-    def check(ii, jj, allowed, relation):
-        for i in ii:
-            for j in jj:
-                br = g.structure[i, j]
-                bad = [k for k in range(g.dim) if br[k] != 0 and k not in allowed]
-                if bad:
-                    raise NotCartanPair(
-                        f"{relation} violated by basis pair ({i}, {j})"
-                    )
+    def check(ii, jj, outside, relation):
+        bad = np.argwhere(st[np.ix_(ii, jj, outside)])
+        if len(bad):
+            i, j = bad[0][:2]
+            raise NotCartanPair(
+                f"{relation} violated by basis pair ({ii[i]}, {jj[j]})"
+            )
 
-    check(h_indices, h_indices, hset, "[h,h] subset h")
-    check(h_indices, m_indices, mset, "[h,m] subset m")
-    check(m_indices, m_indices, hset, "[m,m] subset h")
+    check(h_indices, h_indices, m_indices, "[h,h] subset h")
+    check(h_indices, m_indices, h_indices, "[h,m] subset m")
+    check(m_indices, m_indices, m_indices, "[m,m] subset h")
 
     # Ad(h)-invariance of the metric: <[H,X],Y> + <X,[H,Y]> = 0 on m
-    mpos = {gi: a for a, gi in enumerate(m_indices)}
-    for i in h_indices:
-        for a, ga in enumerate(m_indices):
-            br = g.structure[i, ga]
-            for gb, b in mpos.items():
-                lhs = br[gb] * metric_diag[b]
-                rb = g.structure[i, gb]
-                lhs = lhs + rb[ga] * metric_diag[a]
-                if lhs != 0:
-                    raise MetricNotInvariant(
-                        f"metric not ad(h)-invariant at (H={i}, X={ga}, Y={gb})"
-                    )
+    sd = st[np.ix_(h_indices, m_indices, m_indices)] * metric_diag
+    bad = np.argwhere(sd + sd.transpose(0, 2, 1))
+    if len(bad):
+        t, a, b = bad[0]
+        raise MetricNotInvariant(
+            f"metric not ad(h)-invariant at (H={h_indices[t]}, "
+            f"X={m_indices[a]}, Y={m_indices[b]})"
+        )
     return SymmetricSpaceModel(
         g=g, h_indices=h_indices, m_indices=m_indices, metric_diag=metric_diag,
         name=name, flat_dim=flat_dim, isotropy_ref=isotropy_ref,
@@ -159,48 +175,33 @@ def make_symmetric_space(g, h_indices, metric_diag, name, flat_dim=0,
     )
 
 
-def _frame_bracket_h(space):
-    """[x_a, x_b] in h coordinates for the orthonormal frame x_a = X_a / sqrt(d_a)."""
-    g = space.g
-    m = space.m_indices
-    h = space.h_indices
-    d = space.metric_diag
-    pairs = pair_index(len(m))
-    out = ex.fzeros((len(pairs), len(h)))
-    for p, (a, b) in enumerate(pairs):
-        br = g.bracket(_basis_vec(g.dim, m[a]), _basis_vec(g.dim, m[b]))
-        scale = ex.fsqrt(Fraction(1) / (d[a] * d[b]))
-        for t, gi in enumerate(h):
-            out[p, t] = br[gi] * scale
-    return out
-
-
-def isotropy_skew(space, h_coeffs):
-    """Skew matrix of ad(H)|_m in the orthonormal m frame, H given in h coords."""
-    g = space.g
-    m = space.m_indices
-    d = space.metric_diag
-    hvec = ex.fzeros(g.dim)
-    for t, gi in enumerate(space.h_indices):
-        hvec[gi] = h_coeffs[t]
-    out = ex.fzeros((len(m), len(m)))
-    for c, gc in enumerate(m):
-        br = g.bracket(hvec, _basis_vec(g.dim, gc))
-        for e, ge in enumerate(m):
-            if br[ge] != 0:
-                out[e, c] = br[ge] * ex.fsqrt(d[e] / d[c])
-    return out
-
-
 def curvature_operator(space) -> CurvatureOperator:
-    """Exact matrix of R^M on Lambda^2(m): R^M(x_a ^ x_b) = ad([x_a, x_b])|_m."""
+    """Exact matrix of R^M on Lambda^2(m): R^M(x_a ^ x_b) = ad([x_a, x_b])|_m.
+
+    Built on first use and memoized on the space object, so repeated calls
+    return the same operator; a new space object (dataclasses.replace,
+    rescale_metric) gets its own.
+    """
+    return space._curvature
+
+
+def _curvature_from_slices(space):
     n = space.m_dim
+    d = space.metric_diag
     pairs = pair_index(n)
-    hc = _frame_bracket_h(space)
-    mat = ex.fzeros((len(pairs), len(pairs)))
-    for p in range(len(pairs)):
-        skew = isotropy_skew(space, hc[p])
-        mat[:, p] = bivector_coeffs_from_skew(skew)
+    # [x_a, x_b] in h coordinates for the orthonormal frame x_a = X_a / sqrt(d_a)
+    bracket = space.g.structure[np.ix_(space.m_indices, space.m_indices,
+                                       space.h_indices)]
+    hc = ex.fzeros((len(pairs), space.h_dim))
+    for p, (a, b) in enumerate(pairs):
+        hc[p] = bracket[a, b] * ex.fsqrt(Fraction(1) / (d[a] * d[b]))
+    # row t: ad(H_t)|_m as a bivector; column p of R^M is hc[p] @ biv
+    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
+    biv = space.ad_h[:, jj, ii]
+    if space.h_dim:
+        mat = ex.dot(biv.T, hc.T)
+    else:  # an empty object dot gives int 0, not Fraction(0)
+        mat = ex.fzeros((len(pairs), len(pairs)))
     if not ex.is_zero(mat - mat.T):
         raise SymSpaceError("curvature operator failed exact self-adjointness")
     kernel = ex.nullspace(mat)
@@ -226,16 +227,12 @@ def isotropy_rep(space):
             source=src, images=np.zeros((src.dim, space.m_dim, space.m_dim)),
             label="tangent",
         )
-    r2h = space.ref_to_h()
-    images = np.zeros((ref.dim, space.m_dim, space.m_dim))
-    for t in range(ref.dim):
-        images[t] = ex.to_float(isotropy_skew(space, r2h[t]))
-    return AlgebraRep(source=ref, images=images, label="tangent")
+    return AlgebraRep(source=ref, images=space.ad_ref, label="tangent")
 
 
-def condition_a(space, curv=None) -> ConditionAReport:
+def condition_a(space) -> ConditionAReport:
     """Exact-rational check of span[ker R^M, Im R^M] = ker R^M."""
-    curv = curv or curvature_operator(space)
+    curv = curvature_operator(space)
     n = space.m_dim
     ker = curv.kernel_basis
     img = curv.image_basis

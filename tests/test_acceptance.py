@@ -81,7 +81,7 @@ def test_acceptance_4_structural_identities():
         curv = ss.curvature_operator(space)
         res = ss.eigenspace_structure_residuals(curv)
         worst = max(worst, *res.values())
-        bundle = bn.induce(space, rep, curv=curv)
+        bundle = bn.induce(space, rep)
         worst = max(worst, bn.check_bracket_identity(bundle).max_residual)
         for _ in range(50):
             a = rng.standard_normal(curv.dim)
@@ -96,8 +96,8 @@ def test_acceptance_5_reconstruction():
     worst = 0.0
     for space, rep in _catalog_pairs():
         curv = ss.curvature_operator(space)
-        bundle = bn.induce(space, rep, curv=curv)
-        rec = bn.recover_rho_hat(space, bundle.blocks, curv=curv)
+        bundle = bn.induce(space, rep)
+        rec = bn.recover_rho_hat(space, bundle.blocks)
         worst = max(worst, float(np.abs(rec.as_rep().images
                                         - rep.images).max()))
     roundtrip_ok = worst <= 1e-8
@@ -110,7 +110,7 @@ def test_acceptance_5_reconstruction():
         blocks = rng.standard_normal((6, 4, 4))
         blocks = blocks - blocks.transpose(0, 2, 1)
         try:
-            bn.recover_rho_hat(s4, blocks, curv=curv)
+            bn.recover_rho_hat(s4, blocks)
         except (bn.KernelNotIncluded, bn.NotHomomorphism):
             rejected += 1
     _report(5, f"reconstruction roundtrip {worst:.2e}, "

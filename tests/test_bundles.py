@@ -83,7 +83,7 @@ def test_recover_roundtrip():
     for name, rep in cases:
         space = ss.catalog(name)
         b = bn.induce(space, rep)
-        rec = bn.recover_rho_hat(space, b.blocks, curv=b.curv)
+        rec = bn.recover_rho_hat(space, b.blocks)
         back = rec.as_rep()
         assert np.abs(back.images - rep.images).max() < 1e-8, name
 
@@ -91,7 +91,7 @@ def test_recover_roundtrip():
 def test_recover_tangent_is_isotropy():
     s4 = ss.catalog("S4")
     b = bn.induce(s4, ss.isotropy_rep(s4))
-    back = bn.recover_rho_hat(s4, b.blocks, curv=b.curv).as_rep()
+    back = bn.recover_rho_hat(s4, b.blocks).as_rep()
     assert np.abs(back.images - ss.isotropy_rep(s4).images).max() < 1e-10
 
 
@@ -104,7 +104,7 @@ def test_recover_rejects_random():
         blocks = rng.standard_normal((6, 4, 4))
         blocks = blocks - blocks.transpose(0, 2, 1)
         try:
-            bn.recover_rho_hat(s4, blocks, curv=curv)
+            bn.recover_rho_hat(s4, blocks)
         except (bn.KernelNotIncluded, bn.NotHomomorphism):
             rejected += 1
     assert rejected >= 95
@@ -117,7 +117,7 @@ def test_recover_kernel_not_included():
     blocks = np.einsum("p,ij->pij", ker,
                        np.array([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(bn.KernelNotIncluded):
-        bn.recover_rho_hat(cp2, blocks, curv=curv)
+        bn.recover_rho_hat(cp2, blocks)
 
 
 def test_char_numbers_s2():

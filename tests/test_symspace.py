@@ -1,5 +1,6 @@
 """Cartan pairs, curvature operators, Condition A, catalog."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from symcurv import _exact as ex
 from symcurv import liealg
 from symcurv import symspace as ss
+from symcurv.linalg import bivector_coeffs_from_skew, pair_index
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -60,7 +62,7 @@ def test_product_space_structure():
     curv = ss.curvature_operator(p)
     # mixed bivectors are flat: kernel has dim 2*3 = 6
     assert curv.kernel_basis.shape[1] == 6
-    assert ss.condition_a(p, curv).holds
+    assert ss.condition_a(p).holds
 
 
 def test_su2_group_round():
@@ -107,3 +109,78 @@ def test_isotropy_rep_is_homomorphism():
     for name in ["S2", "S4", "CP2", "SU2_group", "S2xS3"]:
         rep = ss.isotropy_rep(ss.catalog(name))
         assert reps.validate_homomorphism(rep).ok, name
+
+
+def _dense_reference(space):
+    """The dense path R^M was first built with: g.bracket on m basis
+    vectors, then one curvature column per bivector. Returns
+    (matrix, h_coeff, isotropy images of the reference basis)."""
+    g, m, h, d = space.g, space.m_indices, space.h_indices, space.metric_diag
+
+    def unit(idx):
+        v = ex.fzeros(g.dim)
+        v[idx] = ex.ONE
+        return v
+
+    def skew(h_coeffs):
+        hvec = ex.fzeros(g.dim)
+        for t, gi in enumerate(h):
+            hvec[gi] = h_coeffs[t]
+        out = ex.fzeros((len(m), len(m)))
+        for c, gc in enumerate(m):
+            br = g.bracket(hvec, unit(gc))
+            for e, ge in enumerate(m):
+                if br[ge] != 0:
+                    out[e, c] = br[ge] * ex.fsqrt(d[e] / d[c])
+        return out
+
+    pairs = pair_index(len(m))
+    hc = ex.fzeros((len(pairs), len(h)))
+    for p, (a, b) in enumerate(pairs):
+        br = g.bracket(unit(m[a]), unit(m[b]))
+        scale = ex.fsqrt(Fraction(1) / (d[a] * d[b]))
+        for t, gi in enumerate(h):
+            hc[p, t] = br[gi] * scale
+    mat = ex.fzeros((len(pairs), len(pairs)))
+    for p in range(len(pairs)):
+        mat[:, p] = bivector_coeffs_from_skew(skew(hc[p]))
+    ref = space.isotropy_ref
+    if ref.dim == 0:
+        iso = np.zeros((0, len(m), len(m)))
+    else:
+        r2h = space.ref_to_h()
+        iso = np.stack([ex.to_float(skew(r2h[t])) for t in range(ref.dim)])
+    return mat, hc, iso
+
+
+def _same_fractions(a, b):
+    return a.shape == b.shape and all(
+        type(x) is Fraction and type(y) is Fraction and x == y
+        for x, y in zip(a.reshape(-1), b.reshape(-1)))
+
+
+@pytest.mark.parametrize("name", ["S2", "S3", "S4", "S5", "CP1", "CP2",
+                                  "S2xS3", "S2xR1", "SU2_group", "R2"])
+def test_sliced_curvature_matches_dense_path(name):
+    space = ss.catalog(name)
+    mat, hc, iso = _dense_reference(space)
+    curv = ss.curvature_operator(space)
+    assert _same_fractions(curv.matrix, mat)
+    assert _same_fractions(curv.h_coeff, hc)
+    assert _same_fractions(curv.kernel_basis, ex.nullspace(mat))
+    cols = ex.column_space(mat)
+    image = mat[:, cols] if cols else ex.fzeros((mat.shape[0], 0))
+    assert _same_fractions(curv.image_basis, image)
+    assert np.array_equal(ss.isotropy_rep(space).images, iso)
+
+
+def test_curvature_operator_memoized_per_space():
+    s2 = ss.catalog("S2")
+    curv = ss.curvature_operator(s2)
+    assert ss.curvature_operator(s2) is curv
+    scaled = ss.rescale_metric(s2, 2)
+    renamed = dataclasses.replace(s2, name="S2copy")
+    assert ss.curvature_operator(scaled) is not curv
+    assert ss.curvature_operator(renamed) is not curv
+    assert ex.is_zero(ss.curvature_operator(scaled).matrix - curv.matrix / 2)
+    assert ex.is_zero(ss.curvature_operator(renamed).matrix - curv.matrix)
