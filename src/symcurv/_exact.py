@@ -1,10 +1,15 @@
 """Exact rational dense linear algebra on small matrices.
 
-Everything here operates on numpy object arrays filled with
-fractions.Fraction. Sizes are tiny (dims <= ~40), so plain Gaussian
-elimination is fine and keeps every rank/kernel computation exact.
+Exact values are numpy object arrays filled with fractions.Fraction. Sizes
+are tiny (dims <= ~40), so plain Gaussian elimination is fine and keeps
+every rank/kernel computation exact. Bulk products (structure constants,
+the curvature operator, Condition A brackets) run on scaled integers
+instead: scale_to_int writes an array as integer numerators over one
+common denominator, the caller multiplies those with einsum, and
+from_scaled_int turns the result back into Fractions.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +45,34 @@ def fzeros(shape):
 
 def feye(n):
     a = fzeros((n, n))
-    for i in range(n):
-        a[i, i] = ONE
+    np.fill_diagonal(a, ONE)
     return a
+
+
+def scale_to_int(a, degree=1, terms=1):
+    """(num, den) with a == num / den exactly and den the least common
+    denominator of the entries.
+
+    num is int64 when every sum of `terms` products of `degree` entries of
+    num fits in int64, which is the caller's bound for the einsum it runs
+    on num; otherwise num holds Python ints (dtype=object), on which the
+    same einsum stays exact.
+    """
+    a = np.asarray(a, dtype=object)
+    flat = [frac(v) for v in a.reshape(-1)]
+    den = math.lcm(*{v.denominator for v in flat})
+    num = [v.numerator * (den // v.denominator) for v in flat]
+    big = max(map(abs, num), default=0)
+    dtype = np.int64 if terms * big**degree < 2**63 else object
+    return np.array(num, dtype=dtype).reshape(a.shape), den
+
+
+def from_scaled_int(num, den):
+    """Fraction array num / den; Fractions are built only at nonzero entries."""
+    out = fzeros(num.shape)
+    for idx in zip(*np.nonzero(num)):
+        out[idx] = Fraction(int(num[idx]), den)
+    return out
 
 
 def to_float(a):
@@ -153,8 +183,6 @@ def fsqrt(q):
 
 
 def _isqrt_exact(n):
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
@@ -162,10 +190,6 @@ def _isqrt_exact(n):
 def dot(a, b):
     """Exact matrix/vector product for object arrays."""
     return np.dot(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
-
-
-def commutator(a, b):
-    return dot(a, b) - dot(b, a)
 
 
 def trace_form(a, b):

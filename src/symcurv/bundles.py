@@ -347,15 +347,25 @@ class BundleReport:
         }
 
 
+_IRREP_CATALOG = {("so(2)", 2): "S2", ("so(3)", 3): "S3", ("so(4)", 4): "S4",
+                  ("so(5)", 5): "S5", ("u(1)", 2): "CP1", ("u(2)", 4): "CP2"}
+
+
 def catalog_irreps(space, rank_bound, weight_cap=6):
     """Irreducible candidates (descriptor, rep) with real rank <= rank_bound.
 
     weight_cap bounds the circle weights k admitted for so(2) and u(1)/u(2)
     sources, where infinitely many irreps share each rank.
     """
-    name = space.name
-    out = [("trivial:1", rp.trivial_rep(space.isotropy_ref, 1))]
-    if name in ("S2",):
+    # keyed on the isotropy algebra, so a renamed or --config copy of a
+    # catalog space gets that space's irreps
+    ref = space.isotropy_ref
+    name = _IRREP_CATALOG.get((getattr(ref, "name", None), space.m_dim))
+    if name is None:
+        raise UnsupportedSpace(
+            f"no irrep catalog for {space.name}; supported: S2 S3 S4 S5 CP1 CP2")
+    out = [("trivial:1", rp.trivial_rep(ref, 1))]
+    if name == "S2":
         for k in range(1, weight_cap + 1):
             if 2 <= rank_bound:
                 out.append((f"spin2:{k}", rp.spin2_irrep(k)))
@@ -381,16 +391,13 @@ def catalog_irreps(space, rank_bound, weight_cap=6):
         for k in range(1, weight_cap + 1):
             if 2 <= rank_bound:
                 out.append((f"det:(1,{k})", rp.un_det_power(1, k)))
-    elif name == "CP2":
+    else:  # CP2
         for k in range(1, weight_cap + 1):
             if 2 <= rank_bound:
                 out.append((f"det:(2,{k})", rp.un_det_power(2, k)))
         for k in range(-weight_cap, weight_cap + 1):
             if 4 <= rank_bound:
                 out.append((f"fund:(2,{k})", rp.un_fundamental_twist(2, k)))
-    else:
-        raise UnsupportedSpace(
-            f"no irrep catalog for {name}; supported: S2 S3 S4 S5 CP1 CP2")
     # drop equivalent duplicates among the irreducibles themselves
     kept = []
     for lbl, r in out:
@@ -406,8 +413,10 @@ def _rep_type(rep):
         return "reducible"
 
 
-def classify_bundles(space, rank_bound, weight_cap=6):
-    """Enumerate parallel bundles of rank <= rank_bound up to equivalence."""
+def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
+    """Enumerate parallel bundles of rank <= rank_bound up to equivalence;
+    the verification checks are judged against tol (default 1e-8)."""
+    tol = 1e-8 if tol is None else tol
     irreps = catalog_irreps(space, rank_bound, weight_cap=weight_cap)
 
     candidates = []  # (tuple of labels, rep)
@@ -437,7 +446,7 @@ def classify_bundles(space, rank_bound, weight_cap=6):
             rec = recover_rho_hat(space, bundle.blocks)
             back = rec.as_rep()
             roundtrip = np.abs(back.images - rep.images).max(
-                initial=0.0) <= 1e-8
+                initial=0.0) <= tol
         except (BundleError, NotInImage):
             roundtrip = False
         try:
@@ -448,8 +457,8 @@ def classify_bundles(space, rank_bound, weight_cap=6):
         reports.append(BundleReport(
             label=label, rank=rep.target_dim, rep_type=_rep_type(rep),
             components=labels, char=char,
-            bracket_ok=check_bracket_identity(bundle, tol=1e-8).ok,
-            kernel_ok=check_kernel_inclusion(bundle, tol=1e-8).ok,
+            bracket_ok=check_bracket_identity(bundle, tol=tol).ok,
+            kernel_ok=check_kernel_inclusion(bundle, tol=tol).ok,
             roundtrip_ok=bool(roundtrip),
         ))
     reports.sort(key=lambda r: (r.rank, r.label))

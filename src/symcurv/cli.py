@@ -17,6 +17,7 @@ import numpy as np
 from . import _exact as ex
 from . import bundles as bn
 from . import liealg
+from . import linalg
 from . import reps as rp
 from . import spherebundle as sb
 from . import symspace as ss
@@ -152,7 +153,8 @@ def cmd_info(args):
 
 def cmd_classify(args):
     space = load_space(args.space, args.config)
-    reports = bn.classify_bundles(space, args.rank, weight_cap=args.weight_cap)
+    reports = bn.classify_bundles(space, args.rank, weight_cap=args.weight_cap,
+                                  tol=args.tol)
     data = {"space": space.name, "rank_bound": args.rank,
             "bundles": [r.to_dict() for r in reports]}
     rows = [("rank", "label", "type", "euler", "p1", "c1", "c2",
@@ -249,7 +251,8 @@ def _cp_weight_report(space, rep):
 def cmd_charclasses(args):
     space = load_space(args.space, args.config)
     rep = parse_rep(args.rep, space)
-    if space.name.startswith("CP") and space.m_dim > 2:
+    cn = getattr(space.isotropy_ref, "complex_n", None)  # n of CP^n's u(n)
+    if cn and space.m_dim > 2 and space.m_dim - space.flat_dim == 2 * cn:
         weight = _cp_weight_report(space, rep)
         data = {"base": space.name, "rank": rep.target_dim,
                 "mode": "representation-weight", "c1_weight": weight,
@@ -319,8 +322,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None and args.tol <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    bad_tol = args.tol is not None and not 0 < args.tol < float("inf")
+    error = "tolerance must be positive" if bad_tol else linalg.EPS_ERROR
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
         return args.func(args)

@@ -46,26 +46,31 @@ class ValidationReport:
         return self.antisymmetry_ok and self.jacobi_ok and self.invariance_ok
 
 
-def _structure_from_matrices(mats, ip):
-    """Structure constants of a matrix Lie algebra via exact Gram solve."""
-    d = len(mats)
-    gram = ex.fzeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            gram[i, j] = gram[j, i] = ip(mats[i], mats[j])
-    c = ex.fzeros((d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = ex.commutator(mats[i], mats[j])
-            rhs = ex.farray([ip(mats[k], comm) for k in range(d)])
-            coeffs = ex.solve(gram, rhs)
-            c[i, j, :] = coeffs
-            c[j, i, :] = -coeffs
-    return c, gram
+def _structure_from_matrices(mats):
+    """Structure constants and trace-form Gram matrix of a matrix Lie algebra.
+
+    With the matrices scaled to integers M_i = D X_i, every commutator, the
+    Gram matrix 2 D^2 <X_i, X_j> and every pairing 2 D^3 <X_k, [X_i, X_j]>
+    is one integer einsum. One exact inverse of the Gram matrix, brought to
+    a common denominator, turns all pairings into coefficients with one
+    integer product.
+    """
+    n = mats[0].shape[0]
+    m, den = ex.scale_to_int(np.stack(mats), degree=3, terms=2 * n**3)
+    prod = np.einsum("ink,jkm->ijnm", m, m)
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    gram = np.einsum("iab,jab->ij", m, m)
+    rhs = np.einsum("kab,ijab->ijk", m, comm)
+    # each coefficient sums len(mats) products inv[k, l] * rhs[i, j, l]
+    big = int(np.abs(rhs).max(initial=0))
+    inv, inv_den = ex.scale_to_int(ex.inverse(ex.farray(gram.tolist())),
+                                   terms=len(mats) * big)
+    c = ex.from_scaled_int(rhs @ inv.T, den * inv_den)
+    return c, ex.from_scaled_int(gram, 2 * den * den)
 
 
 def _from_matrices(name, labels, mats, complex_n=None):
-    c, gram = _structure_from_matrices(mats, ex.trace_form)
+    c, gram = _structure_from_matrices(mats)
     return LieAlgebraModel(
         name=name,
         dim=len(mats),
@@ -200,13 +205,8 @@ def change_basis(alg, p, name=None, labels=None):
     p = np.asarray(p, dtype=object)
     pinv = ex.inverse(p)
     d = alg.dim
-    c = ex.fzeros((d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            br = alg.bracket(p[i], p[j])
-            coeffs = np.tensordot(pinv.T, br, axes=(1, 0))
-            c[i, j, :] = coeffs
-            c[j, i, :] = -coeffs
+    # [Y_i, Y_j] = sum p[i, a] p[j, b] c[a, b, l] X_l, and X_l = sum pinv[l, k] Y_k
+    c = np.einsum("ijl,lk->ijk", np.einsum("ia,jb,abl->ijl", p, p, alg.structure), pinv)
     ip = np.dot(np.dot(p, alg.inner_product), p.T)
     mats = None
     if alg.matrices is not None:
@@ -225,142 +225,85 @@ def change_basis(alg, p, name=None, labels=None):
 
 
 def validate(alg) -> ValidationReport:
-    c = alg.structure
-    d = alg.dim
+    c, ip = alg.structure, alg.inner_product
+    anti = np.argwhere((c + c.transpose(1, 0, 2)).any(axis=-1))
+    total = _jacobi_total(c)
+    s = np.dot(c, ip)  # s[i, j, k] = <[X_i, X_j], X_k>
+    inv = np.argwhere(s + s.transpose(0, 2, 1))
     witness = None
-    anti_ok = True
-    for i in range(d):
-        for j in range(d):
-            if any(v != 0 for v in (c[i, j] + c[j, i])):
-                anti_ok = False
-                witness = witness or ("antisymmetry", (i, j))
-    jac_ok = _jacobi_ok(c)
-    if not jac_ok and witness is None:
-        witness = ("jacobi", _jacobi_witness(c))
-    inv_ok = True
-    ip = alg.inner_product
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                v = np.dot(c[i, j], ip[:, k]) + np.dot(c[i, k], ip[:, j])
-                if v != 0:
-                    inv_ok = False
-                    witness = witness or ("invariance", (i, j, k))
-                    break
-            if not inv_ok:
-                break
-        if not inv_ok:
-            break
-    return ValidationReport(anti_ok, jac_ok, inv_ok, witness)
+    if len(anti):
+        witness = ("antisymmetry", tuple(int(v) for v in anti[0]))
+    elif total.any():
+        witness = ("jacobi", _jacobi_witness(total))
+    elif len(inv):
+        witness = ("invariance", tuple(int(v) for v in inv[0]))
+    return ValidationReport(not len(anti), not total.any(), not len(inv), witness)
 
 
-def _as_int_tensor(c):
-    flat = c.reshape(-1)
-    out = np.empty(len(flat), dtype=np.int64)
-    for i, v in enumerate(flat):
-        if not isinstance(v, Fraction) or v.denominator != 1:
-            return None
-        n = v.numerator
-        if abs(n) > 2**20:
-            return None
-        out[i] = n
-    return out.reshape(c.shape)
+def _jacobi_total(c):
+    """J[i, j, k] = [[X_i, X_j], X_k] + cyclic, in scaled integers. Jacobi
+    is homogeneous, so a common denominator does not change its zeros."""
+    ci, _ = ex.scale_to_int(c, degree=2, terms=3 * c.shape[0])
+    t = np.einsum("ijm,mkl->ijkl", ci, ci)
+    return t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
 
 
-def _jacobi_ok(c):
-    ci = _as_int_tensor(c)
-    if ci is not None:
-        # exact in int64: entries and dims are tiny
-        t = np.einsum("ijm,mkl->ijkl", ci, ci)
-        total = t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
-        return not total.any()
-    d = c.shape[0]
-    for i in range(d):
-        for j in range(i + 1, d):
-            cij = c[i, j]
-            for k in range(j + 1, d):
-                s = (
-                    np.tensordot(cij, c[:, k, :], axes=(0, 0))
-                    + np.tensordot(c[j, k], c[:, i, :], axes=(0, 0))
-                    + np.tensordot(c[k, i], c[:, j, :], axes=(0, 0))
-                )
-                if any(v != 0 for v in s):
-                    return False
-    return True
-
-
-def _jacobi_witness(c):
-    d = c.shape[0]
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                s = (
-                    np.tensordot(c[i, j], c[:, k, :], axes=(0, 0))
-                    + np.tensordot(c[j, k], c[:, i, :], axes=(0, 0))
-                    + np.tensordot(c[k, i], c[:, j, :], axes=(0, 0))
-                )
-                if any(v != 0 for v in s):
-                    return (i, j, k)
+def _jacobi_witness(total):
+    """First failing (i, j, k) with i < j < k, or None."""
+    for i, j, k in np.argwhere(total.any(axis=-1)):
+        if i < j < k:
+            return (int(i), int(j), int(k))
     return None
 
 
 def killing_form(alg):
     c = alg.structure
-    d = alg.dim
-    k = ex.fzeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            k[i, j] = sum(c[i, m, l] * c[j, l, m] for m in range(d) for l in range(d))
-    return k
+    return np.einsum("iml,jlm->ij", c, c)
 
 
 def to_text(alg):
-    """Serialize to the structured text format (sparse rational triples)."""
+    """Serialize to the structured text format: sparse rational entries of
+    the structure constants, the inner product and the matrix realization."""
     lines = [f"algebra {alg.name}", f"dim {alg.dim}", "labels " + " ".join(alg.basis_labels)]
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(alg.dim):
-                v = alg.structure[i, j, k]
-                if v != 0:
-                    lines.append(f"c {i} {j} {k} {v}")
-    for i in range(alg.dim):
-        for j in range(i, alg.dim):
-            v = alg.inner_product[i, j]
-            if v != 0:
-                lines.append(f"ip {i} {j} {v}")
+    if alg.complex_n is not None:
+        lines.append(f"complex_n {alg.complex_n}")
+    lines += [f"c {i} {j} {k} {v}" for (i, j, k), v in np.ndenumerate(alg.structure)
+              if i < j and v != 0]
+    lines += [f"ip {i} {j} {v}" for (i, j), v in np.ndenumerate(alg.inner_product)
+              if i <= j and v != 0]
+    if alg.matrices is not None:
+        lines.append(f"matrix_size {alg.matrices[0].shape[0] if alg.dim else 1}")
+        lines += [f"mat {t} {r} {s} {v}" for t, m in enumerate(alg.matrices)
+                  for (r, s), v in np.ndenumerate(m) if v != 0]
     return "\n".join(lines) + "\n"
 
 
 def from_text(text):
-    name, dim, labels = None, None, None
-    triples, ips = [], []
+    head, entries = {}, {"c": [], "ip": [], "mat": []}
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "algebra":
-            name = " ".join(parts[1:])
-        elif parts[0] == "dim":
-            dim = int(parts[1])
-        elif parts[0] == "labels":
-            labels = tuple(parts[1:])
-        elif parts[0] == "c":
-            triples.append((int(parts[1]), int(parts[2]), int(parts[3]), Fraction(parts[4])))
-        elif parts[0] == "ip":
-            ips.append((int(parts[1]), int(parts[2]), Fraction(parts[3])))
-    if name is None or dim is None:
+        parts = raw.split()
+        if parts and parts[0] in entries:
+            entries[parts[0]].append((list(map(int, parts[1:-1])), Fraction(parts[-1])))
+        elif parts:  # header lines; unknown keys and comments are ignored
+            head[parts[0]] = parts[1:]
+    if "algebra" not in head or "dim" not in head:
         raise ValueError("missing algebra header")
+    dim = int(head["dim"][0])
     c = ex.fzeros((dim, dim, dim))
-    for i, j, k, v in triples:
-        c[i, j, k] = v
-        c[j, i, k] = -v
+    for (i, j, k), v in entries["c"]:
+        c[i, j, k], c[j, i, k] = v, -v
     ip = ex.fzeros((dim, dim))
-    for i, j, v in ips:
-        ip[i, j] = v
-        ip[j, i] = v
+    for (i, j), v in entries["ip"]:
+        ip[i, j] = ip[j, i] = v
+    mats = None
+    if "matrix_size" in head:
+        size = int(head["matrix_size"][0])
+        mats = tuple(ex.fzeros((size, size)) for _ in range(dim))
+        for (t, r, s), v in entries["mat"]:
+            mats[t][r, s] = v
     return LieAlgebraModel(
-        name=name, dim=dim,
-        basis_labels=labels or tuple(f"X{k + 1}" for k in range(dim)),
-        structure=c, inner_product=ip,
+        name=" ".join(head["algebra"]), dim=dim,
+        basis_labels=tuple(head.get("labels") or (f"X{k + 1}" for k in range(dim))),
+        structure=c, inner_product=ip, matrices=mats,
+        complex_n=int(head["complex_n"][0]) if "complex_n" in head else None,
     )

@@ -5,6 +5,7 @@ Two arithmetic modes share one code path: object arrays of Fractions
 matrices are mode-preserving; spectral routines are float-only.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -12,7 +13,20 @@ import numpy as np
 
 from ._exact import fzeros
 
-EPS = float(os.environ.get("SYMCURV_TOL", "1e-9"))
+
+def _tol_from_env():
+    """SYMCURV_TOL as a positive finite float, and None; or the default and
+    a one-line error for the CLI to report, so importing never fails."""
+    raw = os.environ.get("SYMCURV_TOL", "1e-9")
+    try:
+        if 0 < float(raw) < math.inf:
+            return float(raw), None
+    except ValueError:
+        pass
+    return 1e-9, f"SYMCURV_TOL must be a positive number, got {raw!r}"
+
+
+EPS, EPS_ERROR = _tol_from_env()
 
 
 def cluster_gap():

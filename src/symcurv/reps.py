@@ -269,17 +269,8 @@ def spin4_irrep(k1, k2):
     # coordinates of each so(4) basis element along the two ideals:
     # |phi(B_a)|^2 = 2 in the trace form, so project with gram solve
     def coords(m):
-        gram = ex.fzeros((3, 3))
-        for a in range(3):
-            for b in range(3):
-                gram[a, b] = sum(
-                    m[a][t] * m[b][t] * so4.inner_product[t, t] for t in range(6)
-                )
-        out = ex.fzeros((6, 3))
-        for t in range(6):
-            rhs = ex.farray([m[a][t] * so4.inner_product[t, t] for a in range(3)])
-            out[t] = ex.solve(gram, rhs)
-        return ex.to_float(out)
+        w = m * np.diag(so4.inner_product)
+        return ex.to_float(ex.solve(ex.dot(w, m.T), w).T)
 
     cp, cq = coords(p), coords(q)
     _, im1, j1 = _su2_complex(k1)

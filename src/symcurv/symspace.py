@@ -195,13 +195,12 @@ def _curvature_from_slices(space):
     hc = ex.fzeros((len(pairs), space.h_dim))
     for p, (a, b) in enumerate(pairs):
         hc[p] = bracket[a, b] * ex.fsqrt(Fraction(1) / (d[a] * d[b]))
-    # row t: ad(H_t)|_m as a bivector; column p of R^M is hc[p] @ biv
+    # row t: ad(H_t)|_m as a bivector; column p of R^M is hc[p] @ biv,
+    # multiplied in scaled integers over one common denominator
     ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    biv = space.ad_h[:, jj, ii]
-    if space.h_dim:
-        mat = ex.dot(biv.T, hc.T)
-    else:  # an empty object dot gives int 0, not Fraction(0)
-        mat = ex.fzeros((len(pairs), len(pairs)))
+    num, den = ex.scale_to_int(np.concatenate([space.ad_h[:, jj, ii], hc.T], axis=1),
+                               degree=2, terms=space.h_dim)
+    mat = ex.from_scaled_int(num[:, :len(pairs)].T @ num[:, len(pairs):], den * den)
     if not ex.is_zero(mat - mat.T):
         raise SymSpaceError("curvature operator failed exact self-adjointness")
     kernel = ex.nullspace(mat)
@@ -233,41 +232,45 @@ def isotropy_rep(space):
 def condition_a(space) -> ConditionAReport:
     """Exact-rational check of span[ker R^M, Im R^M] = ker R^M."""
     curv = curvature_operator(space)
-    n = space.m_dim
     ker = curv.kernel_basis
     img = curv.image_basis
     dim_ker = ker.shape[1]
     dim_img = img.shape[1]
     if dim_ker == 0:
         return ConditionAReport(True, 0, dim_img, 0, None)
-    brackets = []
-    for a in range(dim_ker):
-        ka = skew_from_bivector_coeffs(ker[:, a], n)
-        for b in range(dim_img):
-            ib = skew_from_bivector_coeffs(img[:, b], n)
-            brackets.append(bivector_coeffs_from_skew(ex.commutator(ka, ib)))
-    if brackets:
-        bmat = np.stack(brackets, axis=1)
-        if ex.rank(np.concatenate([ker, bmat], axis=1)) > dim_ker:
-            raise ContainmentViolated("[ker, Im] escaped ker R^M")
-        dim_span = ex.rank(bmat)
-    else:
-        dim_span = 0
+    bmat = _bracket_matrix(ker, img, space.m_dim)
+    if ex.rank(np.concatenate([ker, bmat], axis=1)) > dim_ker:
+        raise ContainmentViolated("[ker, Im] escaped ker R^M")
+    dim_span = ex.rank(bmat)
     holds = dim_span == dim_ker
     witness = None
     if not holds:
         # kernel vector orthogonal to the bracket span
         kf = ex.to_float(ker)
-        if brackets:
-            bf = ex.to_float(bmat)
-            q, _ = np.linalg.qr(bf)
-            resid = kf - q @ (q.T @ kf)
-        else:
-            resid = kf
+        q, _ = np.linalg.qr(ex.to_float(bmat))
+        resid = kf - q @ (q.T @ kf)
         col = int(np.argmax(np.linalg.norm(resid, axis=0)))
         w = resid[:, col]
         witness = w / np.linalg.norm(w)
     return ConditionAReport(holds, dim_ker, dim_img, dim_span, witness)
+
+
+def _bracket_matrix(ker, img, n):
+    """Exact bivector columns [ker_a, im_b], column a * img.shape[1] + b.
+
+    Both bases are scaled to integers over one denominator; all skew
+    matrices and their commutators are then built at once.
+    """
+    num, den = ex.scale_to_int(np.concatenate([ker, img], axis=1),
+                               degree=2, terms=2 * n)
+    ii, jj = np.array(pair_index(n), dtype=int).reshape(-1, 2).T
+    skew = np.zeros((num.shape[1], n, n), dtype=num.dtype)
+    skew[:, jj, ii] = num.T
+    skew[:, ii, jj] = -num.T
+    k, i = skew[: ker.shape[1]], skew[ker.shape[1]:]
+    comm = np.einsum("anm,bmk->abnk", k, i) - np.einsum("bnm,amk->abnk", i, k)
+    return ex.from_scaled_int(comm[:, :, jj, ii].reshape(-1, len(ii)).T,
+                              den * den)
 
 
 def eigenspace_structure_residuals(curv):
@@ -475,29 +478,40 @@ def catalog(name):
 
 
 def space_to_text(space):
+    """One text block; the isotropy algebra is embedded as its own
+    liealg.to_text block with every line prefixed by 'isotropy'."""
     lines = [liealg.to_text(space.g).rstrip()]
     lines.append(f"space {space.name}")
     lines.append("h_indices " + " ".join(str(i) for i in space.h_indices))
     lines.append("metric " + " ".join(str(v) for v in space.metric_diag))
     lines.append(f"flat_dim {space.flat_dim}")
+    if space.isotropy_ref is not None:
+        lines += ["isotropy " + line
+                  for line in liealg.to_text(space.isotropy_ref).splitlines()]
+        lines += [f"h_to_ref {i} {j} {v}"
+                  for (i, j), v in np.ndenumerate(space.h_to_ref) if v != 0]
     return "\n".join(lines) + "\n"
 
 
 def space_from_text(text):
     alg = liealg.from_text(text)
-    name, h_idx, metric, flat = None, (), None, 0
+    head, iso, h2r = {}, [], []
     for raw in text.splitlines():
-        parts = raw.strip().split()
-        if not parts:
-            continue
-        if parts[0] == "space":
-            name = " ".join(parts[1:])
-        elif parts[0] == "h_indices":
-            h_idx = tuple(int(v) for v in parts[1:])
-        elif parts[0] == "metric":
-            metric = [Fraction(v) for v in parts[1:]]
-        elif parts[0] == "flat_dim":
-            flat = int(parts[1])
-    if name is None or metric is None:
+        parts = raw.split()
+        if parts[:1] == ["isotropy"]:
+            iso.append(" ".join(parts[1:]))
+        elif parts[:1] == ["h_to_ref"]:
+            h2r.append((int(parts[1]), int(parts[2]), Fraction(parts[3])))
+        elif parts:
+            head[parts[0]] = parts[1:]
+    if "space" not in head or "metric" not in head:
         raise ValueError("missing space header")
-    return make_symmetric_space(alg, h_idx, metric, name, flat_dim=flat)
+    h_idx = tuple(int(v) for v in head.get("h_indices", ()))
+    ref = liealg.from_text("\n".join(iso)) if iso else None
+    h_to_ref = None if ref is None else ex.fzeros((len(h_idx), ref.dim))
+    for i, j, v in h2r if iso else ():
+        h_to_ref[i, j] = v
+    return make_symmetric_space(
+        alg, h_idx, [Fraction(v) for v in head["metric"]], " ".join(head["space"]),
+        flat_dim=int(head.get("flat_dim", [0])[0]), isotropy_ref=ref,
+        h_to_ref=h_to_ref)

@@ -62,8 +62,8 @@ def test_acceptance_2_euler_weights():
 
 
 def test_acceptance_3_condition_a_table():
-    holds = ["S2", "S3", "S4", "S5", "S6", "CP1", "CP2", "CP3",
-             "S2xS2", "S2xS3", "S2xR1", "SU2_group"]
+    holds = ["S2", "S3", "S4", "S5", "S6", "S7", "S8", "CP1", "CP2", "CP3",
+             "S2xS2", "S2xS3", "S3xS3", "S4xS4", "S2xR1", "SU2_group"]
     fails = ["R2", "S2xR2", "R1xR1"]
     ok = True
     for name in holds:

@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import symcurv
 from symcurv import cli
+from symcurv import symspace as ss
 
 
 def run(capsys, *argv):
@@ -137,3 +144,78 @@ def test_config_space(tmp_path, capsys):
     code, out = run(capsys, "info", "S3", "--config", str(path))
     assert code == 0
     assert json.loads(out)["dim_m"] == 3
+
+
+_ROUNDTRIP_SPACES = [f"S{n}" for n in range(2, 9)] + ["CP1", "CP2", "CP3"] + [
+    f"R{n}" for n in range(1, 5)] + ["SU2_group", "S2xS3"]
+
+
+@pytest.mark.parametrize("name", _ROUNDTRIP_SPACES)
+def test_config_roundtrip_under_new_name(tmp_path, capsys, name):
+    space = ss.catalog(name)
+    new = f"{name}cfg"
+    path = tmp_path / "spaces.txt"
+    path.write_text(ss.space_to_text(dataclasses.replace(space, name=new)))
+    back = ss.space_from_text(path.read_text())
+    assert back.isotropy_ref.name == space.isotropy_ref.name
+    assert back.isotropy_ref.complex_n == space.isotropy_ref.complex_n
+    assert np.array_equal(back.h_to_ref, space.h_to_ref)
+    for cmd in (["info"], ["classify", "--rank", "3", "--weight-cap", "2"]):
+        code, want = run(capsys, cmd[0], name, *cmd[1:])
+        got = run(capsys, cmd[0], new, *cmd[1:], "--config", str(path))
+        assert got == (code, want.replace(f'"{name}"', f'"{new}"')), cmd
+
+
+def test_config_space_runs_bundle_commands(tmp_path, capsys):
+    # misleading names: commands must go by the space's data, not its name
+    names = {"S4": "CP4copy", "CP2": "P2copy"}
+    path = tmp_path / "spaces.txt"
+    path.write_text("\n".join(
+        ss.space_to_text(dataclasses.replace(ss.catalog(n), name=new))
+        for n, new in names.items()))
+    for argv in (["verify", "S4", "spin4:(1,0)", "--samples", "50"],
+                 ["charclasses", "S4", "spin4:(1,0)"],
+                 ["verify", "CP2", "un_fund:1", "--samples", "50"],
+                 ["charclasses", "CP2", "un_det:1"]):
+        code, want = run(capsys, *argv)
+        new = names[argv[1]]
+        got = run(capsys, argv[0], new, *argv[2:], "--config", str(path))
+        assert code == 0
+        assert got == (code, want.replace(f'"{argv[1]}"', f'"{new}"'))
+
+
+def test_classify_honours_tol(capsys):
+    _, default = run(capsys, "classify", "S4", "--rank", "3")
+    _, explicit = run(capsys, "classify", "S4", "--rank", "3", "--tol", "1e-8")
+    assert default == explicit
+    assert all(b["verified"]["bracket_identity"]
+               for b in json.loads(default)["bundles"])
+    # rounding leaves bracket residuals of about 1e-16 on some spin4 irreps
+    # (on S2 every residual is exactly 0, so no tolerance fails there)
+    code, out = run(capsys, "classify", "S4", "--rank", "3", "--tol", "1e-30")
+    assert code == 0
+    failed = {b["label"] for b in json.loads(out)["bundles"]
+              if not b["verified"]["bracket_identity"]}
+    assert failed and "trivial:1" not in failed
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_tol_flag_is_a_parse_error(capsys, value):
+    assert cli.main(["info", "S2", "--tol", value]) == cli.EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == "error: tolerance must be positive\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_symcurv_tol_is_a_parse_error(value):
+    src = os.path.dirname(os.path.dirname(symcurv.__file__))
+    env = dict(os.environ, SYMCURV_TOL=value,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    imp = subprocess.run([sys.executable, "-c", "import symcurv"], env=env,
+                         capture_output=True, text=True)
+    assert imp.returncode == 0, imp.stderr
+    res = subprocess.run([sys.executable, "-m", "symcurv.cli", "info", "S2"],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == cli.EXIT_PARSE_ERROR
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and "SYMCURV_TOL" in res.stderr
+    assert len(res.stderr.splitlines()) == 1

@@ -184,3 +184,67 @@ def test_curvature_operator_memoized_per_space():
     assert ss.curvature_operator(renamed) is not curv
     assert ex.is_zero(ss.curvature_operator(scaled).matrix - curv.matrix / 2)
     assert ex.is_zero(ss.curvature_operator(renamed).matrix - curv.matrix)
+
+
+def _reference_bracket_matrix(ker, img, n):
+    """The per-pair loop Condition A brackets were first built with: one
+    exact commutator of skew matrices per (kernel, image) column pair."""
+    from symcurv.linalg import skew_from_bivector_coeffs
+
+    cols = []
+    for a in range(ker.shape[1]):
+        ka = skew_from_bivector_coeffs(ker[:, a], n)
+        for b in range(img.shape[1]):
+            ib = skew_from_bivector_coeffs(img[:, b], n)
+            comm = ex.dot(ka, ib) - ex.dot(ib, ka)
+            cols.append(bivector_coeffs_from_skew(comm))
+    return np.stack(cols, axis=1)
+
+
+def _reference_condition_a(space):
+    """Condition A on the reference bracket matrix, with the same exact
+    ranks and float witness as the library."""
+    curv = ss.curvature_operator(space)
+    ker, img = curv.kernel_basis, curv.image_basis
+    if ker.shape[1] == 0:
+        return True, 0, None
+    if img.shape[1] == 0:
+        return False, 0, ex.to_float(ker)
+    bmat = _reference_bracket_matrix(ker, img, space.m_dim)
+    dim_span = ex.rank(bmat)
+    kf = ex.to_float(ker)
+    q, _ = np.linalg.qr(ex.to_float(bmat))
+    return dim_span == ker.shape[1], dim_span, kf - q @ (q.T @ kf)
+
+
+@pytest.mark.parametrize("name", ["S4xS4", "S3xS3", "S2xS3", "CP3", "S2xS2",
+                                  "S2xR2", "CP2", "R1xR1"])
+def test_scaled_integer_brackets_match_fraction_path(name):
+    space = ss.catalog(name)
+    curv = ss.curvature_operator(space)
+    ker, img = curv.kernel_basis, curv.image_basis
+    if img.shape[1]:
+        assert _same_fractions(ss._bracket_matrix(ker, img, space.m_dim),
+                               _reference_bracket_matrix(ker, img,
+                                                         space.m_dim))
+    holds, dim_span, resid = _reference_condition_a(space)
+    rep = ss.condition_a(space)
+    assert (rep.holds, rep.dim_span_bracket) == (holds, dim_span)
+    if not holds:  # S2xR2 and R1xR1 take the witness path
+        col = int(np.argmax(np.linalg.norm(resid, axis=0)))
+        w = resid[:, col] / np.linalg.norm(resid[:, col])
+        assert np.array_equal(rep.witness, w)
+
+
+def test_scaled_integer_brackets_large_entries():
+    # entries this large overflow int64 products, so the Python-int path runs
+    space = ss.catalog("S2xS2")
+    curv = ss.curvature_operator(space)
+    n = space.m_dim
+    ker = curv.kernel_basis * Fraction(5**30, 3)
+    img = curv.image_basis * Fraction(7, 2**40)
+    num, _ = ex.scale_to_int(np.concatenate([ker, img], axis=1), degree=2,
+                             terms=2 * n)
+    assert num.dtype == object
+    assert _same_fractions(ss._bracket_matrix(ker, img, n),
+                           _reference_bracket_matrix(ker, img, n))
