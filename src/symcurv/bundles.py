@@ -21,7 +21,10 @@ from .linalg import (
     EPS,
     NotInImage,
     bivector_coeffs_from_skew,
+    combine,
     pair_index,
+    project,
+    row_norms,
     skew_from_bivector_coeffs,
     solve_on_image,
 )
@@ -65,9 +68,9 @@ class InducedBundle:
         return self.blocks.shape[1]
 
     def value(self, coeffs):
-        """R^E applied to a bivector given by coefficients."""
-        return np.tensordot(np.asarray(coeffs, dtype=float), self.blocks,
-                            axes=(0, 0))
+        """R^E applied to a bivector given by coefficients (or to each row
+        of a stack of them)."""
+        return combine(np.asarray(coeffs, dtype=float), self.blocks)
 
 
 @dataclass(frozen=True)
@@ -92,26 +95,27 @@ class RecoveredHom:
         k = self.images.shape[1] if self.images.shape[0] else 0
         if ref is None or ref.dim == 0:
             return rp.trivial_rep(ref, k)
-        out = np.zeros((ref.dim, k, k))
-        for t in range(ref.dim):
-            biv = bivector_coeffs_from_skew(space.ad_ref[t])
-            coeffs = self.image_basis.T @ biv
-            resid = np.linalg.norm(biv - self.image_basis @ coeffs)
-            if resid > 100 * EPS * max(1.0, np.linalg.norm(biv)):
-                raise NotInImage(
-                    "isotropy image is not contained in Im R^M")
-            out[t] = np.tensordot(coeffs, self.images, axes=(0, 0))
-        return rp.AlgebraRep(ref, out, label="recovered")
+        biv = bivector_coeffs_from_skew(space.ad_ref)
+        coeffs, off = project(self.image_basis, biv)
+        if np.any(row_norms(off) > 100 * EPS * np.maximum(1.0, row_norms(biv))):
+            raise NotInImage("isotropy image is not contained in Im R^M")
+        return rp.AlgebraRep(ref, combine(coeffs, self.images),
+                             label="recovered")
 
 
-def induce(space, rep) -> InducedBundle:
-    """Curvature of the bundle attached to rep via R^E = rho o pihat^-1 o R^M."""
+def check_source(space, rep):
+    """Raise SourceMismatch unless rep acts on the isotropy algebra of space."""
     ref = space.isotropy_ref
     ref_name = ref.name if ref is not None else None
     if rep.source.name != ref_name or rep.source.dim != (ref.dim if ref else -1):
         raise SourceMismatch(
             f"rep source {rep.source.name!r} does not match isotropy algebra "
             f"{ref_name!r} of {space.name}")
+
+
+def induce(space, rep) -> InducedBundle:
+    """Curvature of the bundle attached to rep via R^E = rho o pihat^-1 o R^M."""
+    check_source(space, rep)
     curv = ss.curvature_operator(space)
     hc = ex.to_float(curv.h_coeff)
     if space.h_dim:
@@ -119,48 +123,49 @@ def induce(space, rep) -> InducedBundle:
         coeffs = hc @ h2r
     else:
         coeffs = np.zeros((hc.shape[0], rep.source.dim))
-    k = rep.target_dim
-    blocks = np.zeros((hc.shape[0], k, k))
-    for p in range(hc.shape[0]):
-        blocks[p] = rep.image(coeffs[p])
+    blocks = combine(coeffs, rep.images)
     return InducedBundle(space=space, rep=rep, blocks=blocks, curv=curv)
+
+
+def bracket_residuals(bundle, a, b):
+    """Residuals of R^E[R^M a, b] = [R^E a, R^E b] for each row pair
+    (a[i], b[i]) of bivector coefficients, in stacked products."""
+    n = bundle.space.m_dim
+    rm = ex.to_float(bundle.curv.matrix)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    rma = skew_from_bivector_coeffs((rm @ a[..., None])[..., 0], n)
+    sb = skew_from_bivector_coeffs(b, n)
+    lhs = bundle.value(bivector_coeffs_from_skew(rma @ sb - sb @ rma))
+    ra, rb = bundle.value(a), bundle.value(b)
+    return np.abs(lhs - (ra @ rb - rb @ ra)).max(axis=(-2, -1), initial=0.0)
 
 
 def bracket_identity_residual(bundle, a, b):
     """Residual of R^E[R^M a, b] = [R^E a, R^E b] for bivectors a, b."""
-    n = bundle.space.m_dim
-    rm = ex.to_float(bundle.curv.matrix)
-    rma = skew_from_bivector_coeffs(rm @ np.asarray(a, dtype=float), n)
-    sb = skew_from_bivector_coeffs(np.asarray(b, dtype=float), n)
-    lhs = bundle.value(bivector_coeffs_from_skew(rma @ sb - sb @ rma))
-    ra, rb = bundle.value(a), bundle.value(b)
-    return float(np.abs(lhs - (ra @ rb - rb @ ra)).max(initial=0.0))
+    return float(bracket_residuals(bundle, [a], [b])[0])
 
 
 def check_bracket_identity(bundle, tol=None) -> IdentityReport:
     """Lemma-style bracket identity over all basis bivector pairs."""
     tol = 10 * EPS if tol is None else tol
     nb = bundle.blocks.shape[0]
-    worst, witness = 0.0, None
     eye = np.eye(nb)
-    for p in range(nb):
-        for q in range(nb):
-            r = bracket_identity_residual(bundle, eye[p], eye[q])
-            if r > worst:
-                worst, witness = r, (p, q)
-    return IdentityReport(worst <= tol, worst, witness if worst > tol else None)
+    res = bracket_residuals(bundle, np.repeat(eye, nb, axis=0),
+                            np.tile(eye, (nb, 1)))
+    worst = float(res.max(initial=0.0))
+    witness = divmod(int(res.argmax()), nb) if worst > tol else None
+    return IdentityReport(worst <= tol, worst, witness)
 
 
 def check_kernel_inclusion(bundle, tol=None) -> IdentityReport:
     """ker R^M subset ker R^E, tested on the exact kernel basis."""
     tol = 10 * EPS if tol is None else tol
     ker = ex.to_float(bundle.curv.kernel_basis)
-    worst, witness = 0.0, None
-    for i in range(ker.shape[1]):
-        r = float(np.abs(bundle.value(ker[:, i])).max(initial=0.0))
-        if r > worst:
-            worst, witness = r, i
-    return IdentityReport(worst <= tol, worst, witness if worst > tol else None)
+    res = np.abs(bundle.value(ker.T)).max(axis=(-2, -1), initial=0.0)
+    worst = float(res.max(initial=0.0))
+    witness = int(res.argmax()) if worst > tol else None
+    return IdentityReport(worst <= tol, worst, witness)
 
 
 def recover_rho_hat(space, blocks, tol=None) -> RecoveredHom:
@@ -176,35 +181,28 @@ def recover_rho_hat(space, blocks, tol=None) -> RecoveredHom:
     blocks = np.asarray(blocks, dtype=float)
     n = space.m_dim
     scale = max(1.0, np.abs(blocks).max(initial=0.0))
-
-    def value(coeffs):
-        return np.tensordot(coeffs, blocks, axes=(0, 0))
-
     ker = ex.to_float(curv.kernel_basis)
-    for i in range(ker.shape[1]):
-        if np.abs(value(ker[:, i])).max(initial=0.0) > tol * scale:
-            raise KernelNotIncluded(
-                f"candidate curvature does not vanish on ker R^M "
-                f"(kernel vector {i})")
+    on_ker = np.abs(combine(ker.T, blocks)).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(on_ker > tol * scale)
+    if len(bad):
+        raise KernelNotIncluded(
+            f"candidate curvature does not vanish on ker R^M "
+            f"(kernel vector {bad[0]})")
     img = ex.to_float(curv.image_basis)
     if img.shape[1]:
         img, _ = np.linalg.qr(img)
     op = curv.as_operator()
     images = np.zeros((img.shape[1], blocks.shape[1], blocks.shape[1]))
-    for i in range(img.shape[1]):
-        images[i] = value(solve_on_image(op, img[:, i]))
-    # homomorphism residual on the holonomy algebra
-    worst = 0.0
-    for i in range(img.shape[1]):
-        si = skew_from_bivector_coeffs(img[:, i], n)
-        for j in range(i + 1, img.shape[1]):
-            sj = skew_from_bivector_coeffs(img[:, j], n)
-            br = bivector_coeffs_from_skew(si @ sj - sj @ si)
-            coeffs = img.T @ br
-            worst = max(worst, float(np.linalg.norm(br - img @ coeffs)))
-            lhs = np.tensordot(coeffs, images, axes=(0, 0))
-            rhs = images[i] @ images[j] - images[j] @ images[i]
-            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
+    for t in range(img.shape[1]):
+        images[t] = combine(solve_on_image(op, img[:, t]), blocks)
+    # homomorphism residual on the holonomy algebra, over all pairs i < j
+    i, j = np.triu_indices(img.shape[1], 1)
+    s = skew_from_bivector_coeffs(img.T, n)
+    br = bivector_coeffs_from_skew(s[i] @ s[j] - s[j] @ s[i])
+    coeffs, off = project(img, br)
+    rhs = images[i] @ images[j] - images[j] @ images[i]
+    worst = max(float(row_norms(off).max(initial=0.0)),
+                float(np.abs(combine(coeffs, images) - rhs).max(initial=0.0)))
     if worst > tol * max(1.0, scale * scale):
         raise NotHomomorphism("reconstructed map is not a homomorphism", worst)
     return RecoveredHom(space=space, image_basis=img, images=images,

@@ -87,20 +87,23 @@ def load_space(name, config_path=None):
     try:
         return ss.catalog(name)
     except ss.UnknownSpace:
-        if config_path:
-            for block in _config_blocks(config_path):
-                try:
-                    space = ss.space_from_text(block)
-                except (ValueError, ss.SymSpaceError):
-                    continue
-                if space.name == name:
-                    return space
+        # only the block named on its `space` line is parsed, so errors in
+        # blocks for other spaces do not hide it
+        for block in _config_blocks(config_path) if config_path else ():
+            names = [p[1:] for p in map(str.split, block.splitlines())
+                     if p[:1] == ["space"]]
+            if names and " ".join(names[-1]) == name:
+                return ss.space_from_text(block)
         raise
 
 
 def _config_blocks(path):
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ValueError(
+            f"cannot read config file {path}: {e.strerror or e}") from None
     return [b for b in text.split("\n\n") if b.strip()]
 
 
@@ -183,13 +186,10 @@ def cmd_verify(args):
     tol = args.tol
     bracket = bn.check_bracket_identity(bundle, tol=tol)
     kernel = bn.check_kernel_inclusion(bundle, tol=tol)
-    rng = np.random.default_rng(args.seed)
-    rand_worst = 0.0
-    for _ in range(50):
-        a = rng.standard_normal(bundle.curv.dim)
-        b = rng.standard_normal(bundle.curv.dim)
-        rand_worst = max(rand_worst,
-                         bn.bracket_identity_residual(bundle, a, b))
+    # 50 random pairs, drawn a then b per pair
+    ab = np.random.default_rng(args.seed).standard_normal(
+        (50, 2, bundle.curv.dim))
+    rand_worst = float(bn.bracket_residuals(bundle, ab[:, 0], ab[:, 1]).max())
     scale = max(1.0, float(np.abs(bundle.blocks).max(initial=0.0))) ** 2
     rand_ok = rand_worst <= (tol or 1e-8) * scale * 10
     try:
@@ -235,6 +235,7 @@ def _cp_weight_report(space, rep):
     """c1 as a representation weight for CP^n bases with n > 1: the complex
     trace of the image of the central element i*I, normalized so det^k has
     weight k."""
+    bn.check_source(space, rep)
     un = space.isotropy_ref
     n = un.complex_n
     target = liealg.realify(ex.fzeros((n, n)), ex.feye(n))  # i * identity

@@ -278,6 +278,16 @@ def to_text(alg):
     return "\n".join(lines) + "\n"
 
 
+def checked_entries(key, entries, shape):
+    """The (indices, value) pairs of sparse `key` lines; ValueError unless
+    every index fits shape."""
+    for idx, v in entries:
+        if len(idx) != len(shape) or not all(0 <= i < n for i, n in zip(idx, shape)):
+            raise ValueError(f"{key} {' '.join(map(str, idx))}: index out of "
+                             f"range for shape {shape}")
+        yield tuple(idx), v
+
+
 def from_text(text):
     head, entries = {}, {"c": [], "ip": [], "mat": []}
     for raw in text.splitlines():
@@ -290,16 +300,17 @@ def from_text(text):
         raise ValueError("missing algebra header")
     dim = int(head["dim"][0])
     c = ex.fzeros((dim, dim, dim))
-    for (i, j, k), v in entries["c"]:
+    for (i, j, k), v in checked_entries("c", entries["c"], c.shape):
         c[i, j, k], c[j, i, k] = v, -v
     ip = ex.fzeros((dim, dim))
-    for (i, j), v in entries["ip"]:
+    for (i, j), v in checked_entries("ip", entries["ip"], ip.shape):
         ip[i, j] = ip[j, i] = v
     mats = None
     if "matrix_size" in head:
         size = int(head["matrix_size"][0])
         mats = tuple(ex.fzeros((size, size)) for _ in range(dim))
-        for (t, r, s), v in entries["mat"]:
+        for (t, r, s), v in checked_entries("mat", entries["mat"],
+                                            (dim, size, size)):
             mats[t][r, s] = v
     return LieAlgebraModel(
         name=" ".join(head["algebra"]), dim=dim,

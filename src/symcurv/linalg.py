@@ -104,25 +104,25 @@ class SymmetricOperator:
 
 
 def skew_from_bivector_coeffs(coeffs, n):
-    """Linear extension of e_i ^ e_j -> matrix with (j,i)=+1, (i,j)=-1."""
-    exact = _exact_mode(coeffs)
-    a = fzeros((n, n)) if exact else np.zeros((n, n))
-    for c, (i, j) in zip(coeffs, pair_index(n)):
-        a[j, i] = c
-        a[i, j] = -c
+    """Linear extension of e_i ^ e_j -> matrix with (j,i)=+1, (i,j)=-1.
+    Leading axes of coeffs are kept: a stack of vectors gives a stack of
+    matrices."""
+    coeffs = np.asarray(coeffs)
+    shape = coeffs.shape[:-1] + (n, n)
+    a = fzeros(shape) if _exact_mode(coeffs) else np.zeros(shape)
+    i, j = np.triu_indices(n, 1)  # the pair_index order
+    a[..., j, i] = coeffs
+    a[..., i, j] = -coeffs
     return a
 
 
 def bivector_coeffs_from_skew(a):
-    n = a.shape[0]
-    idx = pair_index(n)
-    if _exact_mode(a):
-        out = fzeros(len(idx))
-    else:
-        out = np.zeros(len(idx))
-    for k, (i, j) in enumerate(idx):
-        out[k] = a[j, i]
-    return out
+    """Inverse of skew_from_bivector_coeffs, stacks included. Float rows
+    come back contiguous, the layout BLAS takes in later products."""
+    a = np.asarray(a)
+    i, j = np.triu_indices(a.shape[-1], 1)
+    out = a[..., j, i]
+    return out if _exact_mode(a) else np.ascontiguousarray(out, dtype=float)
 
 
 def bivector_to_skew(b: Bivector) -> SkewMatrix:
@@ -147,6 +147,29 @@ def wedge(u, v):
     v = np.asarray(v, dtype=float)
     n = len(u)
     return np.array([u[i] * v[j] - u[j] * v[i] for i, j in pair_index(n)])
+
+
+# Row-stacked products: numpy runs on each row the BLAS call it runs for one
+# vector, so these equal a per-row loop bit for bit, provided each row keeps
+# unit stride (a strided vector takes numpy's own loop).
+
+def combine(coeffs, mats):
+    """sum_p coeffs[..., p] * mats[p] for each row of coeffs."""
+    k = mats.shape[-1]
+    flat = mats.reshape(len(mats), k * k)
+    return (coeffs[..., None, :] @ flat).reshape(coeffs.shape[:-1] + (k, k))
+
+
+def project(basis, x):
+    """Coefficients of each row of x on the orthonormal columns of basis,
+    and the part of the row off their span."""
+    coeffs = (basis.T @ x[..., None])[..., 0]
+    return coeffs, x - (basis @ coeffs[..., None])[..., 0]
+
+
+def row_norms(x):
+    """Euclidean norm of each row, from the dot product np.linalg.norm uses."""
+    return np.sqrt(x[..., None, :] @ x[..., None])[..., 0, 0]
 
 
 def eig_sym(op: SymmetricOperator) -> EigenDecomposition:

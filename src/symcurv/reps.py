@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _exact as ex
 from . import liealg
-from .linalg import EPS
+from .linalg import EPS, combine
 
 
 class RepError(Exception):
@@ -99,23 +99,17 @@ def _jc(n):
 
 def validate_homomorphism(rep, tol=None) -> HomReport:
     tol = EPS * 10 if tol is None else tol
-    c = rep.source.structure_float()
-    d = rep.source.dim
-    bracket_err = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = rep.images[i] @ rep.images[j] - rep.images[j] @ rep.images[i]
-            rhs = np.tensordot(c[i, j], rep.images, axes=(0, 0))
-            bracket_err = max(bracket_err, np.abs(lhs - rhs).max(initial=0.0))
-    skew_err = max(
-        (np.abs(m + m.T).max(initial=0.0) for m in rep.images), default=0.0
-    )
+    im = rep.images
+    i, j = np.triu_indices(rep.source.dim, 1)
+    lhs = im[i] @ im[j] - im[j] @ im[i]
+    rhs = combine(rep.source.structure_float()[i, j], im)
+    bracket_err = float(np.abs(lhs - rhs).max(initial=0.0))
+    skew_err = float(np.abs(im + im.transpose(0, 2, 1)).max(initial=0.0))
     jc_err = 0.0
     if rep.complex_structure is not None:
         jc = rep.complex_structure
-        jc_err = np.abs(jc @ jc + np.eye(rep.target_dim)).max()
-        for m in rep.images:
-            jc_err = max(jc_err, np.abs(jc @ m - m @ jc).max(initial=0.0))
+        jc_err = max(np.abs(jc @ jc + np.eye(rep.target_dim)).max(),
+                     np.abs(jc @ im - im @ jc).max(initial=0.0))
     ok = max(bracket_err, skew_err, jc_err) <= tol
     return HomReport(ok, bracket_err, skew_err, jc_err)
 
@@ -501,10 +495,12 @@ def _intertwiners(r1, r2, tol=None):
     if r1.source.dim == 0:
         rows = np.zeros((1, n1 * n2))
     else:
-        rows = np.concatenate([
-            np.kron(np.eye(n1), r2.images[t]) - np.kron(r1.images[t].T, np.eye(n2))
-            for t in range(r1.source.dim)
-        ])
+        # kron(I, rho2(X_t)) - kron(rho1(X_t)^T, I) for every t at once, as
+        # broadcast products like np.kron's (a sum would lose signed zeros)
+        rows = np.eye(n1)[:, None, :, None] * r2.images[:, None, :, None, :]
+        rows -= (r1.images.transpose(0, 2, 1)[:, :, None, :, None]
+                 * np.eye(n2)[:, None, :])
+        rows = rows.reshape(len(r1.images) * n1 * n2, n1 * n2)
     # the U factor is never used; only a short system needs the full V
     _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
     s = np.concatenate([s, np.zeros(n1 * n2 - len(s))])
@@ -522,6 +518,12 @@ def hom_dim(r1, r2, tol=None):
     return len(_intertwiners(r1, r2, tol))
 
 
+def _trace_form(rep):
+    """tr(rho(X_s) rho(X_t)) for every pair of basis elements s, t."""
+    a = rep.images
+    return a.reshape(len(a), -1) @ a.transpose(0, 2, 1).reshape(len(a), -1).T
+
+
 def equivalent(r1, r2, tol=None):
     """True when an invertible intertwiner exists (orthogonal targets)."""
     if r1.target_dim != r2.target_dim:
@@ -531,6 +533,11 @@ def equivalent(r1, r2, tol=None):
     n = r1.target_dim
     if r1.source.dim == 0:
         return True
+    # equivalent reps share the trace form tr(rho(X_s) rho(X_t)); the loose
+    # tolerance leaves every near decision to the SVD below
+    g1, g2 = _trace_form(r1), _trace_form(r2)
+    if np.abs(g1 - g2).max() > 1e-6 * max(1.0, np.abs(g1).max(), np.abs(g2).max()):
+        return False
     null = _intertwiners(r1, r2, tol)
     if len(null) == 0:
         return False

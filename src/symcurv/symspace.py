@@ -21,6 +21,8 @@ from .linalg import (
     SymmetricOperator,
     bivector_coeffs_from_skew,
     pair_index,
+    project,
+    row_norms,
     skew_from_bivector_coeffs,
 )
 
@@ -285,29 +287,20 @@ def eigenspace_structure_residuals(curv):
     eig = curv.eigendata()
     nonzero = [(lam, b) for lam, b in eig.pairs if abs(lam) > 10 * EPS]
 
-    def brackets(ba, bb):
-        out = []
-        for i in range(ba.shape[1]):
-            sa = skew_from_bivector_coeffs(ba[:, i], n)
-            for j in range(bb.shape[1]):
-                sb = skew_from_bivector_coeffs(bb[:, j], n)
-                out.append(bivector_coeffs_from_skew(sa @ sb - sb @ sa))
-        return out
+    def brackets(ba, bb):  # rows: [a_i, b_j] for every column pair
+        sa = skew_from_bivector_coeffs(ba.T, n)[:, None]
+        sb = skew_from_bivector_coeffs(bb.T, n)[None]
+        return bivector_coeffs_from_skew(sa @ sb - sb @ sa).reshape(-1, len(ba))
 
     def off_span(vecs, basis):
-        resid = 0.0
-        for v in vecs:
-            w = v - basis @ (basis.T @ v) if basis.shape[1] else v
-            resid = max(resid, np.linalg.norm(w))
-        return resid
+        return float(row_norms(project(basis, vecs)[1]).max(initial=0.0))
 
     sub = 0.0
     comm = 0.0
     for i, (_, ba) in enumerate(nonzero):
         sub = max(sub, off_span(brackets(ba, ba), ba))
         for _, bb in nonzero[i + 1 :]:
-            for v in brackets(ba, bb):
-                comm = max(comm, np.linalg.norm(v))
+            comm = max(comm, float(row_norms(brackets(ba, bb)).max(initial=0.0)))
     if nonzero:
         image = np.concatenate([b for _, b in nonzero], axis=1)
         closed = off_span(brackets(image, image), image)
@@ -501,7 +494,7 @@ def space_from_text(text):
         if parts[:1] == ["isotropy"]:
             iso.append(" ".join(parts[1:]))
         elif parts[:1] == ["h_to_ref"]:
-            h2r.append((int(parts[1]), int(parts[2]), Fraction(parts[3])))
+            h2r.append((list(map(int, parts[1:-1])), Fraction(parts[-1])))
         elif parts:
             head[parts[0]] = parts[1:]
     if "space" not in head or "metric" not in head:
@@ -509,8 +502,9 @@ def space_from_text(text):
     h_idx = tuple(int(v) for v in head.get("h_indices", ()))
     ref = liealg.from_text("\n".join(iso)) if iso else None
     h_to_ref = None if ref is None else ex.fzeros((len(h_idx), ref.dim))
-    for i, j, v in h2r if iso else ():
-        h_to_ref[i, j] = v
+    for idx, v in liealg.checked_entries("h_to_ref", h2r if iso else (),
+                                         np.shape(h_to_ref)):
+        h_to_ref[idx] = v
     return make_symmetric_space(
         alg, h_idx, [Fraction(v) for v in head["metric"]], " ".join(head["space"]),
         flat_dim=int(head.get("flat_dim", [0])[0]), isotropy_ref=ref,

@@ -1,13 +1,18 @@
 """Induced curvature, reconstruction, characteristic numbers, classifier."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from symcurv import _exact as ex
 from symcurv import bundles as bn
+from symcurv import cli
 from symcurv import reps
 from symcurv import symspace as ss
-from symcurv.linalg import skew_from_bivector_coeffs
+from symcurv.linalg import (
+    EPS, NotInImage, pair_index, skew_from_bivector_coeffs, solve_on_image)
 
 
 def test_tangent_bundle_reproduces_curvature_operator():
@@ -215,3 +220,234 @@ def test_classify_s5_below_tangent_rank():
 def test_classify_unsupported():
     with pytest.raises(bn.UnsupportedSpace):
         bn.classify_bundles(ss.catalog("S6"), 4)
+
+
+# ---------------------------------------------------------------------------
+# The per-pair loops that the batched checks replaced, kept as references:
+# the stacked products run the same BLAS calls, so results agree bit for bit.
+
+def _skew_ref(coeffs, n):
+    a = np.zeros((n, n))
+    for c, (i, j) in zip(coeffs, pair_index(n)):
+        a[j, i] = c
+        a[i, j] = -c
+    return a
+
+
+def _biv_ref(a):
+    return np.array([a[j, i] for i, j in pair_index(a.shape[0])], dtype=float)
+
+
+def _residual_ref(bundle, a, b):
+    def value(c):
+        return np.tensordot(np.asarray(c, dtype=float), bundle.blocks,
+                            axes=(0, 0))
+
+    n = bundle.space.m_dim
+    rm = ex.to_float(bundle.curv.matrix)
+    rma = _skew_ref(rm @ np.asarray(a, dtype=float), n)
+    sb = _skew_ref(np.asarray(b, dtype=float), n)
+    lhs = value(_biv_ref(rma @ sb - sb @ rma))
+    ra, rb = value(a), value(b)
+    return float(np.abs(lhs - (ra @ rb - rb @ ra)).max(initial=0.0))
+
+
+def _bracket_ref(bundle, tol):
+    nb = bundle.blocks.shape[0]
+    worst, witness = 0.0, None
+    eye = np.eye(nb)
+    for p in range(nb):
+        for q in range(nb):
+            r = _residual_ref(bundle, eye[p], eye[q])
+            if r > worst:
+                worst, witness = r, (p, q)
+    return bn.IdentityReport(worst <= tol, worst,
+                             witness if worst > tol else None)
+
+
+def _kernel_ref(bundle, tol):
+    ker = ex.to_float(bundle.curv.kernel_basis)
+    worst, witness = 0.0, None
+    for i in range(ker.shape[1]):
+        r = float(np.abs(np.tensordot(ker[:, i], bundle.blocks,
+                                      axes=(0, 0))).max(initial=0.0))
+        if r > worst:
+            worst, witness = r, i
+    return bn.IdentityReport(worst <= tol, worst,
+                             witness if worst > tol else None)
+
+
+def _recover_ref(space, blocks, tol):
+    """Returns (image_basis, images, hom_residual), or raises."""
+    curv = ss.curvature_operator(space)
+    blocks = np.asarray(blocks, dtype=float)
+    n = space.m_dim
+    scale = max(1.0, np.abs(blocks).max(initial=0.0))
+
+    def value(coeffs):
+        return np.tensordot(coeffs, blocks, axes=(0, 0))
+
+    ker = ex.to_float(curv.kernel_basis)
+    for i in range(ker.shape[1]):
+        if np.abs(value(ker[:, i])).max(initial=0.0) > tol * scale:
+            raise bn.KernelNotIncluded(
+                f"candidate curvature does not vanish on ker R^M "
+                f"(kernel vector {i})")
+    img = ex.to_float(curv.image_basis)
+    if img.shape[1]:
+        img, _ = np.linalg.qr(img)
+    op = curv.as_operator()
+    images = np.zeros((img.shape[1], blocks.shape[1], blocks.shape[1]))
+    for i in range(img.shape[1]):
+        images[i] = value(solve_on_image(op, img[:, i]))
+    worst = 0.0
+    for i in range(img.shape[1]):
+        si = _skew_ref(img[:, i], n)
+        for j in range(i + 1, img.shape[1]):
+            sj = _skew_ref(img[:, j], n)
+            br = _biv_ref(si @ sj - sj @ si)
+            coeffs = img.T @ br
+            worst = max(worst, float(np.linalg.norm(br - img @ coeffs)))
+            lhs = np.tensordot(coeffs, images, axes=(0, 0))
+            rhs = images[i] @ images[j] - images[j] @ images[i]
+            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
+    if worst > tol * max(1.0, scale * scale):
+        raise bn.NotHomomorphism("reconstructed map is not a homomorphism",
+                                 worst)
+    return img, images, worst
+
+
+def _as_rep_images_ref(rec):
+    ref = rec.space.isotropy_ref
+    k = rec.images.shape[1] if rec.images.shape[0] else 0
+    out = np.zeros((ref.dim, k, k))
+    for t in range(ref.dim):
+        biv = _biv_ref(rec.space.ad_ref[t])
+        coeffs = rec.image_basis.T @ biv
+        resid = np.linalg.norm(biv - rec.image_basis @ coeffs)
+        if resid > 100 * EPS * max(1.0, np.linalg.norm(biv)):
+            return "not in image"
+        out[t] = np.tensordot(coeffs, rec.images, axes=(0, 0))
+    return out.tobytes()
+
+
+_GUARD_CASES = [
+    ("S2", "spin2:3"), ("S3", "spinor:3"), ("S3", "sum(trivial:1,spinor:3)"),
+    ("S4", "spin4:(1,0)"), ("S4", "spin4:(2,0)"), ("S4", "trivial:0"),
+    ("S5", "spinor:5"), ("CP1", "det:(1,2)"), ("CP2", "fund:(2,1)"),
+    ("CP2", "sum(det:(2,1),fund:(2,-1))"), ("S2xS3", "ext(spin2:2,spinor:3)"),
+]
+
+
+def _guard_bundles():
+    """Each guard case clean, then with three kinds of corrupted blocks."""
+    rng = np.random.default_rng(3)
+    for name, desc in _GUARD_CASES:
+        space = ss.catalog(name)
+        b = bn.induce(space, reps.from_descriptor(desc,
+                                                  source=space.isotropy_ref))
+        yield f"{name} {desc}", b
+        for noise in (1e-13, 1e-5):
+            bad = b.blocks + noise * rng.standard_normal(b.blocks.shape)
+            yield f"{name} {desc} noise {noise}", dataclasses.replace(
+                b, blocks=bad - bad.transpose(0, 2, 1))
+        if len(b.blocks) > 1:
+            bad = b.blocks.copy()
+            bad[1] = 0.0
+            yield f"{name} {desc} zeroed", dataclasses.replace(b, blocks=bad)
+
+
+def test_batched_induce_matches_loop():
+    for name, desc in _GUARD_CASES:
+        space = ss.catalog(name)
+        rep = reps.from_descriptor(desc, source=space.isotropy_ref)
+        hc = ex.to_float(ss.curvature_operator(space).h_coeff)
+        coeffs = hc @ ex.to_float(space.h_to_ref)
+        want = np.zeros((len(hc), rep.target_dim, rep.target_dim))
+        for p in range(len(hc)):
+            want[p] = rep.image(coeffs[p])
+        assert bn.induce(space, rep).blocks.tobytes() == want.tobytes(), name
+
+
+def test_batched_identity_checks_match_loops():
+    for case, b in _guard_bundles():
+        for tol in (None, 0.0, 1e-8):
+            want_tol = 10 * EPS if tol is None else tol
+            assert bn.check_bracket_identity(b, tol=tol) == \
+                _bracket_ref(b, want_tol), (case, tol)
+            assert bn.check_kernel_inclusion(b, tol=tol) == \
+                _kernel_ref(b, want_tol), (case, tol)
+
+
+def test_batched_random_pair_residuals_match_loop():
+    for case, b in _guard_bundles():
+        if b.curv.dim == 0:
+            continue
+        for seed in (0, 1, 7, 12345):
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(50):
+                a = rng.standard_normal(b.curv.dim)
+                c = rng.standard_normal(b.curv.dim)
+                want.append(_residual_ref(b, a, c))
+            ab = np.random.default_rng(seed).standard_normal((50, 2, b.curv.dim))
+            got = bn.bracket_residuals(b, ab[:, 0], ab[:, 1])
+            assert got.tolist() == want, (case, seed)
+            assert bn.bracket_identity_residual(b, ab[3, 0], ab[3, 1]) == want[3]
+
+
+def test_verify_random_residual_matches_loop(capsys):
+    for name, desc, seed in [("S4", "spin4:(1,0)", 0), ("S5", "spinor:5", 4),
+                             ("CP2", "fund:(2,1)", 9)]:
+        space = ss.catalog(name)
+        b = bn.induce(space, reps.from_descriptor(desc))
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(50):
+            a = rng.standard_normal(b.curv.dim)
+            c = rng.standard_normal(b.curv.dim)
+            worst = max(worst, _residual_ref(b, a, c))
+        cli.main(["verify", name, desc, "--seed", str(seed),
+                  "--samples", "10"])
+        got = json.loads(capsys.readouterr().out)
+        assert got["checks"]["bracket_identity_random"]["residual"] == \
+            cli._round12(worst)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except bn.BundleError as e:
+        return type(e), str(e)
+
+
+def test_batched_recover_matches_loop():
+    rng = np.random.default_rng(5)
+    cases = [(case, b.space, b.blocks) for case, b in _guard_bundles()]
+    r2 = ss.catalog("R2")  # Im R^M = 0: no image vectors at all
+    cases += [("R2 zero", r2, np.zeros((1, 2, 2))),
+              ("R2 random", r2, rng.standard_normal((1, 2, 2)))]
+    outcomes = set()
+    for case, space, blocks in cases:
+        for tol in (None, 1e-3):
+            want = _outcome(_recover_ref, space, blocks,
+                            100 * EPS if tol is None else tol)
+            got = _outcome(bn.recover_rho_hat, space, blocks, tol)
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                assert got == want, (case, tol)
+                outcomes.add(want[0])
+                continue
+            img, images, worst = want
+            assert got.hom_residual == worst, (case, tol)
+            assert got.images.tobytes() == images.tobytes(), (case, tol)
+            assert got.image_basis.tobytes() == img.tobytes(), (case, tol)
+            if space.isotropy_ref is not None:
+                want = _as_rep_images_ref(got)
+                try:
+                    back = got.as_rep().images.tobytes()
+                except NotInImage:
+                    back = "not in image"
+                assert back == want, case
+            outcomes.add(img.shape[1])
+    # both rejections, and the r <= 1 cases (R2: r = 0, CP1: r = 1)
+    assert {bn.KernelNotIncluded, bn.NotHomomorphism, 0, 1} <= outcomes

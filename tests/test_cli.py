@@ -219,3 +219,47 @@ def test_bad_symcurv_tol_is_a_parse_error(value):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and "SYMCURV_TOL" in res.stderr
     assert len(res.stderr.splitlines()) == 1
+
+
+def _run_err(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_missing_config_file_is_a_parse_error(tmp_path, capsys):
+    for path in (tmp_path / "absent.txt", tmp_path):
+        code, err = _run_err(capsys, "info", "Foo", "--config", str(path))
+        assert code == cli.EXIT_PARSE_ERROR
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("line", ["c 0 1 5 1", "c 0 -1 2 1", "c 0 1 1",
+                                  "ip 0 3 1", "mat 0 0 9 1", "mat 3 0 0 1",
+                                  "h_to_ref 1 0 1"])
+def test_config_index_out_of_range_is_a_parse_error(tmp_path, capsys, line):
+    text = ss.space_to_text(dataclasses.replace(ss.catalog("S2"), name="Bad"))
+    path = tmp_path / "spaces.txt"
+    path.write_text(text + line + "\n")
+    code, err = _run_err(capsys, "info", "Bad", "--config", str(path))
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err.startswith("error: ") and "out of range" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_bad_config_block_does_not_hide_another_space(tmp_path, capsys):
+    good = dataclasses.replace(ss.catalog("S2"), name="Good")
+    bad = dataclasses.replace(ss.catalog("S2"), name="Bad")
+    path = tmp_path / "spaces.txt"
+    path.write_text(ss.space_to_text(bad) + "c 0 1 5 1\n\n"
+                    + ss.space_to_text(good))
+    code, out = run(capsys, "info", "Good", "--config", str(path))
+    assert code == 0 and json.loads(out)["name"] == "Good"
+
+
+def test_charclasses_weight_mode_checks_rep_source(capsys):
+    code, err = _run_err(capsys, "charclasses", "CP2", "su2:1")
+    assert code == cli.EXIT_UNSUPPORTED
+    assert (code, err) == _run_err(capsys, "verify", "CP2", "su2:1")
+    assert err == ("error: rep source 'su(2)' does not match isotropy "
+                   "algebra 'u(2)' of CP2\n")

@@ -1,10 +1,14 @@
 """Representation constructors and type classification."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from symcurv import bundles as bn
 from symcurv import liealg, reps
 from symcurv import symspace as ss
+from symcurv.linalg import EPS
 
 ALL_REPS = [
     reps.spin2_irrep(1), reps.spin2_irrep(2), reps.spin2_irrep(-3),
@@ -18,10 +22,33 @@ ALL_REPS = [
 ]
 
 
+def _validate_ref(rep):
+    """The per-pair loops that validate_homomorphism replaced."""
+    c = rep.source.structure_float()
+    d = rep.source.dim
+    bracket_err = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            lhs = rep.images[i] @ rep.images[j] - rep.images[j] @ rep.images[i]
+            rhs = np.tensordot(c[i, j], rep.images, axes=(0, 0))
+            bracket_err = max(bracket_err, np.abs(lhs - rhs).max(initial=0.0))
+    skew_err = max((np.abs(m + m.T).max(initial=0.0) for m in rep.images),
+                   default=0.0)
+    jc_err = 0.0
+    if rep.complex_structure is not None:
+        jc = rep.complex_structure
+        jc_err = np.abs(jc @ jc + np.eye(rep.target_dim)).max()
+        for m in rep.images:
+            jc_err = max(jc_err, np.abs(jc @ m - m @ jc).max(initial=0.0))
+    return bracket_err, skew_err, jc_err
+
+
 @pytest.mark.parametrize("rep", ALL_REPS, ids=lambda r: r.label)
 def test_homomorphism_and_skewness(rep):
     report = reps.validate_homomorphism(rep)
     assert report.ok, (rep.label, report)
+    assert (report.max_bracket_error, report.max_skew_error,
+            report.max_jc_error) == _validate_ref(rep)
 
 
 def test_spin2_normalization():
@@ -172,3 +199,78 @@ def test_descriptor_grammar():
             reps.from_descriptor(bad)
     with pytest.raises(reps.RepError):
         reps.from_descriptor("spin2:0")
+
+
+# ---------------------------------------------------------------------------
+# The per-generator np.kron system and the SVD-only equivalence test that
+# the batched code replaced, kept as references.
+
+def _intertwiners_ref(r1, r2, tol=None):
+    tol = EPS * 100 if tol is None else tol
+    n1, n2 = r1.target_dim, r2.target_dim
+    if r1.source.dim == 0:
+        rows = np.zeros((1, n1 * n2))
+    else:
+        rows = np.concatenate([
+            np.kron(np.eye(n1), r2.images[t]) - np.kron(r1.images[t].T, np.eye(n2))
+            for t in range(r1.source.dim)
+        ])
+    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    s = np.concatenate([s, np.zeros(n1 * n2 - len(s))])
+    return vt[s <= tol * max(1.0, s.max(initial=1.0))]
+
+
+def _equivalent_ref(r1, r2, tol=None):
+    if r1.target_dim != r2.target_dim or r1.source.dim != r2.source.dim:
+        return False
+    n = r1.target_dim
+    if r1.source.dim == 0:
+        return True
+    null = _intertwiners_ref(r1, r2, tol)
+    if len(null) == 0:
+        return False
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        t = np.tensordot(rng.standard_normal(len(null)), null, axes=(0, 0))
+        if np.linalg.matrix_rank(t.reshape(n, n), tol=1e-8) == n:
+            return True
+    return False
+
+
+_POOLS = [("S2", 4), ("S3", 5), ("S4", 4), ("S5", 8), ("CP1", 4), ("CP2", 4)]
+
+
+def _pool(name, rank):
+    return [r for _, r in bn.catalog_irreps(ss.catalog(name), rank)]
+
+
+def test_intertwiners_match_kron_system():
+    fund = reps.un_fundamental_twist(2, -1)  # 2-dim null basis
+    assert len(reps._intertwiners(fund, fund)) == 2
+    pairs = [(fund, fund)]
+    for name, rank in _POOLS:
+        pool = _pool(name, rank)
+        pairs += list(itertools.product(pool, pool))
+    for r1, r2 in pairs:
+        assert reps._intertwiners(r1, r2).tobytes() == \
+            _intertwiners_ref(r1, r2).tobytes(), (r1.label, r2.label)
+
+
+def test_equivalent_matches_svd_only_path(monkeypatch):
+    for name, rank in _POOLS:
+        pool = _pool(name, rank)
+        for r1, r2 in itertools.product(pool, pool):
+            assert reps.equivalent(r1, r2) == _equivalent_ref(r1, r2)
+    # every pair classify_bundles compares, through the batched test
+    equivalent, seen = reps.equivalent, []
+
+    def checked(r1, r2, tol=None):
+        got = equivalent(r1, r2, tol)
+        assert got == _equivalent_ref(r1, r2, tol), (r1.label, r2.label)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(reps, "equivalent", checked)
+    for name, rank in _POOLS:
+        bn.classify_bundles(ss.catalog(name), rank)
+    assert True in seen and len(seen) > 1000

@@ -9,7 +9,7 @@ import pytest
 from symcurv import _exact as ex
 from symcurv import liealg
 from symcurv import symspace as ss
-from symcurv.linalg import bivector_coeffs_from_skew, pair_index
+from symcurv.linalg import EPS, bivector_coeffs_from_skew, pair_index
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -248,3 +248,37 @@ def test_scaled_integer_brackets_large_entries():
     assert num.dtype == object
     assert _same_fractions(ss._bracket_matrix(ker, img, n),
                            _reference_bracket_matrix(ker, img, n))
+
+
+def _eigenspace_residuals_ref(curv):
+    """The per-pair loops that eigenspace_structure_residuals replaced."""
+    n = curv.m_dim
+    nonzero = [b for lam, b in curv.eigendata().pairs if abs(lam) > 10 * EPS]
+
+    def skew(c):
+        a = np.zeros((n, n))
+        for v, (i, j) in zip(c, pair_index(n)):
+            a[j, i], a[i, j] = v, -v
+        return a
+
+    def brackets(ba, bb):
+        return [bivector_coeffs_from_skew(skew(x) @ skew(y) - skew(y) @ skew(x))
+                for x in ba.T for y in bb.T]
+
+    def off_span(vecs, basis):
+        return max((np.linalg.norm(v - basis @ (basis.T @ v)) for v in vecs),
+                   default=0.0)
+
+    sub = max((off_span(brackets(b, b), b) for b in nonzero), default=0.0)
+    comm = max((np.linalg.norm(v) for i, a in enumerate(nonzero)
+                for b in nonzero[i + 1:] for v in brackets(a, b)), default=0.0)
+    image = np.concatenate(nonzero, axis=1) if nonzero else None
+    closed = off_span(brackets(image, image), image) if nonzero else 0.0
+    return {"subalgebra": sub, "commuting": comm, "image_closed": closed}
+
+
+def test_batched_eigenspace_residuals_match_loops():
+    for name in ["S2", "S4", "S5", "CP2", "CP3", "S2xS3", "S2xR1", "R2"]:
+        curv = ss.curvature_operator(ss.catalog(name))
+        assert ss.eigenspace_structure_residuals(curv) == \
+            _eigenspace_residuals_ref(curv), name
