@@ -18,14 +18,15 @@ from . import _exact as ex
 from . import reps as rp
 from . import symspace as ss
 from .linalg import (
+    CHECK_TOL,
     EPS,
     NotInImage,
+    bivector_bracket,
     bivector_coeffs_from_skew,
     combine,
     pair_index,
     project,
     row_norms,
-    skew_from_bivector_coeffs,
     solve_on_image,
 )
 
@@ -89,17 +90,14 @@ class RecoveredHom:
 
     def as_rep(self):
         """rho-hat composed with the isotropy identification: a rep of the
-        reference isotropy algebra."""
-        space = self.space
-        ref = space.isotropy_ref
-        k = self.images.shape[1] if self.images.shape[0] else 0
-        if ref is None or ref.dim == 0:
-            return rp.trivial_rep(ref, k)
-        biv = bivector_coeffs_from_skew(space.ad_ref)
+        reference isotropy algebra (of the zero algebra when the space has
+        none)."""
+        tangent = ss.isotropy_rep(self.space)
+        biv = bivector_coeffs_from_skew(tangent.images)
         coeffs, off = project(self.image_basis, biv)
         if np.any(row_norms(off) > 100 * EPS * np.maximum(1.0, row_norms(biv))):
             raise NotInImage("isotropy image is not contained in Im R^M")
-        return rp.AlgebraRep(ref, combine(coeffs, self.images),
+        return rp.AlgebraRep(tangent.source, combine(coeffs, self.images),
                              label="recovered")
 
 
@@ -130,13 +128,10 @@ def induce(space, rep) -> InducedBundle:
 def bracket_residuals(bundle, a, b):
     """Residuals of R^E[R^M a, b] = [R^E a, R^E b] for each row pair
     (a[i], b[i]) of bivector coefficients, in stacked products."""
-    n = bundle.space.m_dim
-    rm = ex.to_float(bundle.curv.matrix)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    rma = skew_from_bivector_coeffs((rm @ a[..., None])[..., 0], n)
-    sb = skew_from_bivector_coeffs(b, n)
-    lhs = bundle.value(bivector_coeffs_from_skew(rma @ sb - sb @ rma))
+    rma = (bundle.curv.float_matrix @ a[..., None])[..., 0]
+    lhs = bundle.value(bivector_bracket(rma, b, bundle.space.m_dim))
     ra, rb = bundle.value(a), bundle.value(b)
     return np.abs(lhs - (ra @ rb - rb @ ra)).max(axis=(-2, -1), initial=0.0)
 
@@ -148,7 +143,7 @@ def bracket_identity_residual(bundle, a, b):
 
 def check_bracket_identity(bundle, tol=None) -> IdentityReport:
     """Lemma-style bracket identity over all basis bivector pairs."""
-    tol = 10 * EPS if tol is None else tol
+    tol = CHECK_TOL if tol is None else tol
     nb = bundle.blocks.shape[0]
     eye = np.eye(nb)
     res = bracket_residuals(bundle, np.repeat(eye, nb, axis=0),
@@ -160,7 +155,7 @@ def check_bracket_identity(bundle, tol=None) -> IdentityReport:
 
 def check_kernel_inclusion(bundle, tol=None) -> IdentityReport:
     """ker R^M subset ker R^E, tested on the exact kernel basis."""
-    tol = 10 * EPS if tol is None else tol
+    tol = CHECK_TOL if tol is None else tol
     ker = ex.to_float(bundle.curv.kernel_basis)
     res = np.abs(bundle.value(ker.T)).max(axis=(-2, -1), initial=0.0)
     worst = float(res.max(initial=0.0))
@@ -168,7 +163,7 @@ def check_kernel_inclusion(bundle, tol=None) -> IdentityReport:
     return IdentityReport(worst <= tol, worst, witness)
 
 
-def recover_rho_hat(space, blocks, tol=None) -> RecoveredHom:
+def recover_rho_hat(space, blocks) -> RecoveredHom:
     """Reconstruct rho-hat = R^E o (R^M)^{-1} on Im R^M and validate it.
 
     blocks is the candidate bundle curvature on basis bivectors. Raises
@@ -176,10 +171,9 @@ def recover_rho_hat(space, blocks, tol=None) -> RecoveredHom:
     NotHomomorphism when the reconstructed map fails to be a Lie algebra
     homomorphism on the holonomy algebra.
     """
-    tol = 100 * EPS if tol is None else tol
+    tol = 100 * EPS
     curv = ss.curvature_operator(space)
     blocks = np.asarray(blocks, dtype=float)
-    n = space.m_dim
     scale = max(1.0, np.abs(blocks).max(initial=0.0))
     ker = ex.to_float(curv.kernel_basis)
     on_ker = np.abs(combine(ker.T, blocks)).max(axis=(-2, -1), initial=0.0)
@@ -191,15 +185,12 @@ def recover_rho_hat(space, blocks, tol=None) -> RecoveredHom:
     img = ex.to_float(curv.image_basis)
     if img.shape[1]:
         img, _ = np.linalg.qr(img)
-    op = curv.as_operator()
     images = np.zeros((img.shape[1], blocks.shape[1], blocks.shape[1]))
     for t in range(img.shape[1]):
-        images[t] = combine(solve_on_image(op, img[:, t]), blocks)
+        images[t] = combine(solve_on_image(curv.eigendata, img[:, t]), blocks)
     # homomorphism residual on the holonomy algebra, over all pairs i < j
     i, j = np.triu_indices(img.shape[1], 1)
-    s = skew_from_bivector_coeffs(img.T, n)
-    br = bivector_coeffs_from_skew(s[i] @ s[j] - s[j] @ s[i])
-    coeffs, off = project(img, br)
+    coeffs, off = project(img, bivector_bracket(img.T[i], img.T[j], space.m_dim))
     rhs = images[i] @ images[j] - images[j] @ images[i]
     worst = max(float(row_norms(off).max(initial=0.0)),
                 float(np.abs(combine(coeffs, images) - rhs).max(initial=0.0)))
@@ -413,8 +404,8 @@ def _rep_type(rep):
 
 def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
     """Enumerate parallel bundles of rank <= rank_bound up to equivalence;
-    the verification checks are judged against tol (default 1e-8)."""
-    tol = 1e-8 if tol is None else tol
+    the verification checks are judged against tol (default CHECK_TOL)."""
+    tol = CHECK_TOL if tol is None else tol
     irreps = catalog_irreps(space, rank_bound, weight_cap=weight_cap)
 
     candidates = []  # (tuple of labels, rep)

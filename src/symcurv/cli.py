@@ -183,7 +183,7 @@ def cmd_verify(args):
     space = load_space(args.space, args.config)
     rep = parse_rep(args.rep, space)
     bundle = bn.induce(space, rep)
-    tol = args.tol
+    tol = linalg.CHECK_TOL if args.tol is None else args.tol
     bracket = bn.check_bracket_identity(bundle, tol=tol)
     kernel = bn.check_kernel_inclusion(bundle, tol=tol)
     # 50 random pairs, drawn a then b per pair
@@ -191,12 +191,12 @@ def cmd_verify(args):
         (50, 2, bundle.curv.dim))
     rand_worst = float(bn.bracket_residuals(bundle, ab[:, 0], ab[:, 1]).max())
     scale = max(1.0, float(np.abs(bundle.blocks).max(initial=0.0))) ** 2
-    rand_ok = rand_worst <= (tol or 1e-8) * scale * 10
+    rand_ok = rand_worst <= tol * scale * 10
     try:
         rec = bn.recover_rho_hat(space, bundle.blocks)
         back = rec.as_rep()
         rt_resid = float(np.abs(back.images - rep.images).max(initial=0.0))
-        roundtrip_ok = rt_resid <= (tol or 1e-8)
+        roundtrip_ok = rt_resid <= tol
     except (bn.BundleError, bn.NotInImage) as e:
         rt_resid, roundtrip_ok = None, False
     irreducible = rp.is_irreducible(rep)
@@ -252,16 +252,17 @@ def _cp_weight_report(space, rep):
 def cmd_charclasses(args):
     space = load_space(args.space, args.config)
     rep = parse_rep(args.rep, space)
+    tol = args.tol or 1e-6
     cn = getattr(space.isotropy_ref, "complex_n", None)  # n of CP^n's u(n)
     if cn and space.m_dim > 2 and space.m_dim - space.flat_dim == 2 * cn:
         weight = _cp_weight_report(space, rep)
         data = {"base": space.name, "rank": rep.target_dim,
                 "mode": "representation-weight", "c1_weight": weight,
-                "integral": bool(abs(weight - round(weight)) <= 1e-6)}
+                "integral": bool(abs(weight - round(weight)) <= tol)}
         emit(data, args.output)
         return EXIT_OK
     bundle = bn.induce(space, rep)
-    report = bn.characteristic_numbers(bundle, tolerance=args.tol or 1e-6)
+    report = bn.characteristic_numbers(bundle, tolerance=tol)
     data = report.to_dict()
     data["mode"] = "chern-weil"
     data["integral"] = bool(report.integral())

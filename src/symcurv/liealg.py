@@ -256,11 +256,6 @@ def _jacobi_witness(total):
     return None
 
 
-def killing_form(alg):
-    c = alg.structure
-    return np.einsum("iml,jlm->ij", c, c)
-
-
 def to_text(alg):
     """Serialize to the structured text format: sparse rational entries of
     the structure constants, the inner product and the matrix realization."""
@@ -288,6 +283,13 @@ def checked_entries(key, entries, shape):
         yield tuple(idx), v
 
 
+def header_int(head, key):
+    """The integer on header line `key`; ValueError if the line is bare."""
+    if not head[key]:
+        raise ValueError(f"{key}: missing value")
+    return int(head[key][0])
+
+
 def from_text(text):
     head, entries = {}, {"c": [], "ip": [], "mat": []}
     for raw in text.splitlines():
@@ -298,7 +300,7 @@ def from_text(text):
             head[parts[0]] = parts[1:]
     if "algebra" not in head or "dim" not in head:
         raise ValueError("missing algebra header")
-    dim = int(head["dim"][0])
+    dim = header_int(head, "dim")
     c = ex.fzeros((dim, dim, dim))
     for (i, j, k), v in checked_entries("c", entries["c"], c.shape):
         c[i, j, k], c[j, i, k] = v, -v
@@ -307,7 +309,7 @@ def from_text(text):
         ip[i, j] = ip[j, i] = v
     mats = None
     if "matrix_size" in head:
-        size = int(head["matrix_size"][0])
+        size = header_int(head, "matrix_size")
         mats = tuple(ex.fzeros((size, size)) for _ in range(dim))
         for (t, r, s), v in checked_entries("mat", entries["mat"],
                                             (dim, size, size)):
@@ -316,5 +318,5 @@ def from_text(text):
         name=" ".join(head["algebra"]), dim=dim,
         basis_labels=tuple(head.get("labels") or (f"X{k + 1}" for k in range(dim))),
         structure=c, inner_product=ip, matrices=mats,
-        complex_n=int(head["complex_n"][0]) if "complex_n" in head else None,
+        complex_n=header_int(head, "complex_n") if "complex_n" in head else None,
     )

@@ -1,13 +1,13 @@
 """Small dense linear algebra, plus the Lambda^2(R^n) <-> so(n) identification.
 
-Two arithmetic modes share one code path: object arrays of Fractions
-(exact) and float64 arrays. Conversions between bivectors and skew
-matrices are mode-preserving; spectral routines are float-only.
+Conversions between bivectors and skew matrices keep their input's dtype:
+object arrays of Fractions or Python ints (exact), int64 numerators, or
+float64. Spectral routines are float-only.
 """
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,8 @@ def _tol_from_env():
 
 
 EPS, EPS_ERROR = _tol_from_env()
+# default bound of every verification check; 1e-8 when SYMCURV_TOL is unset
+CHECK_TOL = 10 * EPS
 
 
 def cluster_gap():
@@ -34,10 +36,6 @@ def cluster_gap():
 
 
 class LinalgError(Exception):
-    pass
-
-
-class NotSkew(LinalgError):
     pass
 
 
@@ -54,53 +52,10 @@ def pair_index(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def biv_dim(n):
-    return n * (n - 1) // 2
-
-
-def _exact_mode(a):
-    return np.asarray(a).dtype == object
-
-
-@dataclass(frozen=True)
-class Bivector:
-    n: int
-    coeffs: np.ndarray  # length n(n-1)/2, lexicographic e_i ^ e_j order
-
-    def __post_init__(self):
-        if len(self.coeffs) != biv_dim(self.n):
-            raise ValueError("coefficient vector has wrong length")
-
-    def norm(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        return float(np.sqrt(c @ c))
-
-
-@dataclass(frozen=True)
-class SkewMatrix:
-    n: int
-    entries: np.ndarray
-
-
 @dataclass
 class EigenDecomposition:
     pairs: list  # [(eigenvalue, orthonormal basis as columns)]
     kernel: np.ndarray  # columns spanning the 0-eigenspace (may be empty)
-
-
-@dataclass
-class SymmetricOperator:
-    matrix: np.ndarray
-    _eig: EigenDecomposition | None = field(default=None, repr=False)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    def eigendata(self):
-        if self._eig is None:
-            self._eig = eig_sym(self)
-        return self._eig
 
 
 def skew_from_bivector_coeffs(coeffs, n):
@@ -109,7 +64,7 @@ def skew_from_bivector_coeffs(coeffs, n):
     matrices."""
     coeffs = np.asarray(coeffs)
     shape = coeffs.shape[:-1] + (n, n)
-    a = fzeros(shape) if _exact_mode(coeffs) else np.zeros(shape)
+    a = fzeros(shape) if coeffs.dtype == object else np.zeros(shape, coeffs.dtype)
     i, j = np.triu_indices(n, 1)  # the pair_index order
     a[..., j, i] = coeffs
     a[..., i, j] = -coeffs
@@ -117,36 +72,20 @@ def skew_from_bivector_coeffs(coeffs, n):
 
 
 def bivector_coeffs_from_skew(a):
-    """Inverse of skew_from_bivector_coeffs, stacks included. Float rows
-    come back contiguous, the layout BLAS takes in later products."""
+    """Inverse of skew_from_bivector_coeffs, stacks included. Rows come
+    back contiguous, the layout BLAS takes in later products."""
     a = np.asarray(a)
     i, j = np.triu_indices(a.shape[-1], 1)
-    out = a[..., j, i]
-    return out if _exact_mode(a) else np.ascontiguousarray(out, dtype=float)
+    return np.ascontiguousarray(a[..., j, i])
 
 
-def bivector_to_skew(b: Bivector) -> SkewMatrix:
-    return SkewMatrix(b.n, skew_from_bivector_coeffs(b.coeffs, b.n))
-
-
-def skew_to_bivector(a: SkewMatrix) -> Bivector:
-    m = a.entries
-    if _exact_mode(m):
-        if not all(v == 0 for v in (m + m.T).reshape(-1)):
-            raise NotSkew("matrix is not exactly skew")
-    else:
-        resid = float(np.abs(m + m.T).max()) if m.size else 0.0
-        if resid > EPS:
-            raise NotSkew(f"symmetry residual {resid:.3e} exceeds tolerance")
-    return Bivector(a.n, bivector_coeffs_from_skew(m))
-
-
-def wedge(u, v):
-    """Decomposable bivector u ^ v as a coefficient vector."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = len(u)
-    return np.array([u[i] * v[j] - u[j] * v[i] for i, j in pair_index(n)])
+def bivector_bracket(a, b, n):
+    """Coefficients of [a, b] = skew(a) skew(b) - skew(b) skew(a) for
+    bivectors given by coefficients; leading axes broadcast, and the dtype
+    of the inputs is kept, so integer numerators stay exact."""
+    sa = skew_from_bivector_coeffs(a, n)
+    sb = skew_from_bivector_coeffs(b, n)
+    return bivector_coeffs_from_skew(sa @ sb - sb @ sa)
 
 
 # Row-stacked products: numpy runs on each row the BLAS call it runs for one
@@ -172,8 +111,10 @@ def row_norms(x):
     return np.sqrt(x[..., None, :] @ x[..., None])[..., 0, 0]
 
 
-def eig_sym(op: SymmetricOperator) -> EigenDecomposition:
-    m = np.asarray(op.matrix, dtype=float)
+def eig_sym(m) -> EigenDecomposition:
+    """Eigenvalues of a symmetric matrix clustered within cluster_gap(),
+    each with an orthonormal basis of its eigenspace."""
+    m = np.asarray(m, dtype=float)
     if m.size and float(np.abs(m - m.T).max()) > EPS:
         raise NotSymmetric("operator is not symmetric within tolerance")
     if m.size == 0:
@@ -201,14 +142,14 @@ def eig_sym(op: SymmetricOperator) -> EigenDecomposition:
     return EigenDecomposition(pairs=pairs, kernel=kernel)
 
 
-def solve_on_image(op: SymmetricOperator, y):
-    """Preimage of y under op, restricted to Im(op).
+def solve_on_image(eig: EigenDecomposition, y):
+    """Preimage of y under the operator with eigendata eig, restricted to
+    its image.
 
     Requires y to lie in the image within EPS; the returned x satisfies
     op(x) = y and is orthogonal to ker(op).
     """
     y = np.asarray(y, dtype=float)
-    eig = op.eigendata()
     x = np.zeros_like(y)
     proj = np.zeros_like(y)
     for lam, basis in eig.pairs:

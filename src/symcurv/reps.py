@@ -8,7 +8,6 @@ real commutant: dimension 1 = real, 2 = complex, 4 = quaternionic, anything
 else = reducible.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import _exact as ex
 from . import liealg
-from .linalg import EPS, combine
+from .linalg import CHECK_TOL, EPS, combine
 
 
 class RepError(Exception):
@@ -97,8 +96,7 @@ def _jc(n):
     return np.block([[z, -i], [i, z]])
 
 
-def validate_homomorphism(rep, tol=None) -> HomReport:
-    tol = EPS * 10 if tol is None else tol
+def validate_homomorphism(rep) -> HomReport:
     im = rep.images
     i, j = np.triu_indices(rep.source.dim, 1)
     lhs = im[i] @ im[j] - im[j] @ im[i]
@@ -110,7 +108,7 @@ def validate_homomorphism(rep, tol=None) -> HomReport:
         jc = rep.complex_structure
         jc_err = max(np.abs(jc @ jc + np.eye(rep.target_dim)).max(),
                      np.abs(jc @ im - im @ jc).max(initial=0.0))
-    ok = max(bracket_err, skew_err, jc_err) <= tol
+    ok = max(bracket_err, skew_err, jc_err) <= CHECK_TOL
     return HomReport(ok, bracket_err, skew_err, jc_err)
 
 
@@ -182,14 +180,13 @@ def su2_irrep(k):
     )
 
 
-def real_form(rep, tol=None):
+def real_form(rep):
     """Fixed subspace of a structure map with J^2 = +1, as a rep of its own."""
-    tol = EPS * 10 if tol is None else tol
     if rep.structure_map is None or rep.structure_sign != 1:
         raise RepError("rep has no structure map squaring to +1")
     j = rep.structure_map
     n = rep.target_dim
-    if np.abs(j @ j - np.eye(n)).max() > tol:
+    if np.abs(j @ j - np.eye(n)).max() > CHECK_TOL:
         raise RepError("structure map does not square to +1")
     vals, vecs = np.linalg.eigh((j + j.T) / 2)
     q = vecs[:, vals > 0.5]
@@ -197,57 +194,17 @@ def real_form(rep, tol=None):
     resid = max(
         np.abs(m @ q - q @ (q.T @ m @ q)).max(initial=0.0) for m in rep.images
     )
-    if resid > tol:
+    if resid > CHECK_TOL:
         raise RepError("fixed space of structure map is not invariant")
     return AlgebraRep(rep.source, images, label=rep.label + "|real")
 
 
-@lru_cache(maxsize=1)
-def _so4_split():
-    """Exact maps from the su(2) basis onto the two ideals of so(4).
-
-    Returns two 3x6 Fraction matrices P, Q: row a gives the so(4)
-    coordinates of the image of su(2) basis element a. Both maps are Lie
-    algebra homomorphisms, found by matching structure constants over
-    signed permutations, and their images are orthogonal complements.
-    """
-    so4 = liealg.make_so(4)
-    su2 = liealg.make_su(2)
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-    def triple(coeff_list):
-        out = ex.fzeros((3, 6))
-        for r, terms in enumerate(coeff_list):
-            for (i, j), c in terms:
-                out[r, pairs.index((i, j))] = ex.frac(c)
-        return out
-
-    # self-dual and anti-self-dual generators, scaled to |.|^2 = 2
-    u = triple([[((0, 1), 1), ((2, 3), 1)], [((0, 2), 1), ((1, 3), -1)],
-                [((0, 3), 1), ((1, 2), 1)]])
-    v = triple([[((0, 1), 1), ((2, 3), -1)], [((0, 2), 1), ((1, 3), 1)],
-                [((0, 3), 1), ((1, 2), -1)]])
-
-    def is_hom(m):
-        for a in range(3):
-            for b in range(3):
-                lhs = so4.bracket(m[a], m[b])
-                rhs = ex.fzeros(6)
-                for c in range(3):
-                    rhs = rhs + su2.structure[a, b, c] * m[c]
-                if not all(x == y for x, y in zip(lhs, rhs)):
-                    return False
-        return True
-
-    def find(block):
-        for perm in itertools.permutations(range(3)):
-            for signs in itertools.product((1, -1), repeat=3):
-                m = np.stack([block[p] * ex.frac(s) for p, s in zip(perm, signs)])
-                if is_hom(m):
-                    return m
-        raise RepError("so(4) splitting search failed")
-
-    return find(u), find(v)
+# The su(2) basis mapped onto the self-dual and anti-self-dual ideals of
+# so(4): row a holds the make_so(4) coordinates of the image of make_su(2)
+# basis element a. Both maps are Lie algebra homomorphisms and their images
+# are orthogonal complements (checked exactly in the tests).
+_SO4_P = ex.farray([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, -1, -1, 0, 0]])
+_SO4_Q = ex.farray([[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]])
 
 
 def spin4_irrep(k1, k2):
@@ -259,14 +216,13 @@ def spin4_irrep(k1, k2):
     if k1 < 0 or k2 < 0:
         raise RepError("k1, k2 must be nonnegative")
     so4 = liealg.make_so(4)
-    p, q = _so4_split()
     # coordinates of each so(4) basis element along the two ideals:
     # |phi(B_a)|^2 = 2 in the trace form, so project with gram solve
     def coords(m):
         w = m * np.diag(so4.inner_product)
         return ex.to_float(ex.solve(ex.dot(w, m.T), w).T)
 
-    cp, cq = coords(p), coords(q)
+    cp, cq = coords(_SO4_P), coords(_SO4_Q)
     _, im1, j1 = _su2_complex(k1)
     _, im2, j2 = _su2_complex(k2)
     n1, n2 = k1 + 1, k2 + 1
@@ -351,41 +307,6 @@ def spin_fundamental(n, chirality=None):
     )
 
 
-def exterior_power(rep, k):
-    """Induced action on the k-th exterior power of the real target space."""
-    n = rep.target_dim
-    combos = list(itertools.combinations(range(n), k))
-    pos = {c: i for i, c in enumerate(combos)}
-    nd = len(combos)
-    out = np.zeros((rep.source.dim, nd, nd))
-    for t in range(rep.source.dim):
-        m = rep.images[t]
-        img = np.zeros((nd, nd))
-        for ci, combo in enumerate(combos):
-            for slot, idx in enumerate(combo):
-                for new in range(n):
-                    if m[new, idx] == 0 or new in combo and new != idx:
-                        continue
-                    replaced = list(combo)
-                    replaced[slot] = new
-                    order = np.argsort(replaced)
-                    sign = _perm_sign(order)
-                    img[pos[tuple(sorted(replaced))], ci] += sign * m[new, idx]
-        out[t] = img
-    return AlgebraRep(rep.source, out, label=f"L{k}({rep.label})")
-
-
-def _perm_sign(order):
-    sign = 1
-    order = list(order)
-    for i in range(len(order)):
-        while order[i] != i:
-            j = order[i]
-            order[i], order[j] = order[j], order[i]
-            sign = -sign
-    return sign
-
-
 def _sym_traceless_basis(n):
     basis = []
     for i in range(n):
@@ -462,17 +383,6 @@ def direct_sum(r1, r2):
                       complex_structure=jc)
 
 
-def tensor(r1, r2):
-    if r1.source.name != r2.source.name or r1.source.dim != r2.source.dim:
-        raise SourceMismatch(f"{r1.source.name} vs {r2.source.name}")
-    n1, n2 = r1.target_dim, r2.target_dim
-    images = np.stack([
-        np.kron(r1.images[t], np.eye(n2)) + np.kron(np.eye(n1), r2.images[t])
-        for t in range(r1.source.dim)
-    ])
-    return AlgebraRep(r1.source, images, label=f"tensor({r1.label},{r2.label})")
-
-
 def external_sum(r1, r2):
     """Rep of the product algebra acting blockwise: (X, Y) -> r1(X) + r2(Y)."""
     src = liealg.product_algebra(r1.source, r2.source)
@@ -486,11 +396,10 @@ def external_sum(r1, r2):
 # ---------------------------------------------------------------------------
 # commutant analysis
 
-def _intertwiners(r1, r2, tol=None):
+def _intertwiners(r1, r2):
     """Orthonormal basis of {T : rho2(X) T = T rho1(X) for all X}, each T
     flattened row-major to length n1 * n2, from one SVD of the Kronecker
     system."""
-    tol = EPS * 100 if tol is None else tol
     n1, n2 = r1.target_dim, r2.target_dim
     if r1.source.dim == 0:
         rows = np.zeros((1, n1 * n2))
@@ -504,18 +413,13 @@ def _intertwiners(r1, r2, tol=None):
     # the U factor is never used; only a short system needs the full V
     _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
     s = np.concatenate([s, np.zeros(n1 * n2 - len(s))])
-    return vt[s <= tol * max(1.0, s.max(initial=1.0))]
+    return vt[s <= 100 * EPS * max(1.0, s.max(initial=1.0))]
 
 
-def commutant_basis(rep, tol=None):
+def commutant_basis(rep):
     """Orthonormal basis (as matrices) of {C : [rho(X), C] = 0 for all X}."""
     n = rep.target_dim
-    return [v.reshape(n, n) for v in _intertwiners(rep, rep, tol)]
-
-
-def hom_dim(r1, r2, tol=None):
-    """Dimension of the space of intertwiners T with rho2(X) T = T rho1(X)."""
-    return len(_intertwiners(r1, r2, tol))
+    return [v.reshape(n, n) for v in _intertwiners(rep, rep)]
 
 
 def _trace_form(rep):
@@ -524,7 +428,7 @@ def _trace_form(rep):
     return a.reshape(len(a), -1) @ a.transpose(0, 2, 1).reshape(len(a), -1).T
 
 
-def equivalent(r1, r2, tol=None):
+def equivalent(r1, r2):
     """True when an invertible intertwiner exists (orthogonal targets)."""
     if r1.target_dim != r2.target_dim:
         return False
@@ -538,7 +442,7 @@ def equivalent(r1, r2, tol=None):
     g1, g2 = _trace_form(r1), _trace_form(r2)
     if np.abs(g1 - g2).max() > 1e-6 * max(1.0, np.abs(g1).max(), np.abs(g2).max()):
         return False
-    null = _intertwiners(r1, r2, tol)
+    null = _intertwiners(r1, r2)
     if len(null) == 0:
         return False
     # for orthogonal reps a generic combination of intertwiners is invertible
@@ -551,14 +455,14 @@ def equivalent(r1, r2, tol=None):
     return False
 
 
-def classify_type(rep, tol=None) -> RepType:
+def classify_type(rep) -> RepType:
     """Real / complex / quaternionic classification via the commutant.
 
     Raises Reducible when the commutant is not one of the three division
     algebras R, C, H (detected by dimension plus definiteness of the
     squaring form on the traceless part).
     """
-    comm = commutant_basis(rep, tol=tol)
+    comm = commutant_basis(rep)
     cdim = len(comm)
     n = rep.target_dim
     if cdim == 1:
@@ -591,9 +495,9 @@ def classify_type(rep, tol=None) -> RepType:
     raise Reducible(f"commutant dimension {cdim} is not of division-algebra type")
 
 
-def is_irreducible(rep, tol=None):
+def is_irreducible(rep):
     try:
-        classify_type(rep, tol=tol)
+        classify_type(rep)
         return True
     except Reducible:
         return False

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS
+from .linalg import CHECK_TOL
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,16 @@ class ConstancyReport:
     samples: int
 
 
-def c_tilde(bundle, tol=None) -> CtildeResult:
-    tol = 10 * EPS if tol is None else tol
+def c_tilde(bundle) -> CtildeResult:
     k = bundle.rank
     op = np.zeros((k, k))
-    n = bundle.space.m_dim
-    for p, block in enumerate(bundle.blocks):
+    for block in bundle.blocks:
         op -= 2.0 * (block @ block)  # ordered pairs: (i,j) and (j,i)
     c = float(np.trace(op) / k) if k else 0.0
     resid = float(np.abs(op - c * np.eye(k)).max(initial=0.0))
     return CtildeResult(
-        operator=op, is_multiple_of_identity=resid <= tol * max(1.0, abs(c)),
+        operator=op,
+        is_multiple_of_identity=resid <= CHECK_TOL * max(1.0, abs(c)),
         constant=c, residual=resid,
     )
 
@@ -65,10 +64,9 @@ def c_of(bundle_or_ct, u):
     return float(u @ ct.operator @ u)
 
 
-def schur_constancy_check(bundle, samples=1000, seed=0, tol=None):
+def schur_constancy_check(bundle, samples=1000, seed=0):
     """Sample C(u) on random unit vectors and compare with tr(C~)/k."""
-    tol = 10 * EPS if tol is None else tol
-    ct = c_tilde(bundle, tol=tol)
+    ct = c_tilde(bundle)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -76,7 +74,7 @@ def schur_constancy_check(bundle, samples=1000, seed=0, tol=None):
         u /= np.linalg.norm(u)
         worst = max(worst, abs(c_of(ct, u) - ct.constant))
     return ConstancyReport(
-        ok=worst <= tol * max(1.0, abs(ct.constant)),
+        ok=worst <= CHECK_TOL * max(1.0, abs(ct.constant)),
         constant=ct.constant, max_deviation=worst, samples=samples,
     )
 

@@ -9,21 +9,20 @@ R(X,Y)Z = -[[X,Y],Z]).
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import _exact as ex
-from . import liealg
+from . import liealg, linalg
 from .linalg import (
     EPS,
-    SymmetricOperator,
+    bivector_bracket,
     bivector_coeffs_from_skew,
     pair_index,
     project,
     row_norms,
-    skew_from_bivector_coeffs,
 )
 
 
@@ -107,23 +106,25 @@ class CurvatureOperator:
     h_coeff: np.ndarray  # (N_biv, h_dim) Fractions: [x_a, x_b] in the h basis
     kernel_basis: np.ndarray  # exact columns
     image_basis: np.ndarray  # exact columns
-    _sym: SymmetricOperator | None = field(default=None, repr=False)
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
-    def as_operator(self):
-        if self._sym is None:
-            self._sym = SymmetricOperator(ex.to_float(self.matrix))
-        return self._sym
+    @functools.cached_property
+    def float_matrix(self):
+        """Read-only float copy of matrix."""
+        out = ex.to_float(self.matrix)
+        out.flags.writeable = False
+        return out
 
+    @functools.cached_property
     def eigendata(self):
-        return self.as_operator().eigendata()
+        return linalg.eig_sym(self.float_matrix)
 
     def spectrum(self):
         """Clustered (eigenvalue, multiplicity) pairs, ascending."""
-        return [(lam, basis.shape[1]) for lam, basis in self.eigendata().pairs]
+        return [(lam, basis.shape[1]) for lam, basis in self.eigendata.pairs]
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,8 @@ def _curvature_from_slices(space):
         hc[p] = bracket[a, b] * ex.fsqrt(Fraction(1) / (d[a] * d[b]))
     # row t: ad(H_t)|_m as a bivector; column p of R^M is hc[p] @ biv,
     # multiplied in scaled integers over one common denominator
-    ii, jj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    num, den = ex.scale_to_int(np.concatenate([space.ad_h[:, jj, ii], hc.T], axis=1),
+    biv = bivector_coeffs_from_skew(space.ad_h)
+    num, den = ex.scale_to_int(np.concatenate([biv, hc.T], axis=1),
                                degree=2, terms=space.h_dim)
     mat = ex.from_scaled_int(num[:, :len(pairs)].T @ num[:, len(pairs):], den * den)
     if not ex.is_zero(mat - mat.T):
@@ -260,19 +261,14 @@ def condition_a(space) -> ConditionAReport:
 def _bracket_matrix(ker, img, n):
     """Exact bivector columns [ker_a, im_b], column a * img.shape[1] + b.
 
-    Both bases are scaled to integers over one denominator; all skew
-    matrices and their commutators are then built at once.
+    Both bases are scaled to integers over one denominator; all their
+    brackets are then taken at once.
     """
     num, den = ex.scale_to_int(np.concatenate([ker, img], axis=1),
                                degree=2, terms=2 * n)
-    ii, jj = np.array(pair_index(n), dtype=int).reshape(-1, 2).T
-    skew = np.zeros((num.shape[1], n, n), dtype=num.dtype)
-    skew[:, jj, ii] = num.T
-    skew[:, ii, jj] = -num.T
-    k, i = skew[: ker.shape[1]], skew[ker.shape[1]:]
-    comm = np.einsum("anm,bmk->abnk", k, i) - np.einsum("bnm,amk->abnk", i, k)
-    return ex.from_scaled_int(comm[:, :, jj, ii].reshape(-1, len(ii)).T,
-                              den * den)
+    k, i = num[:, : ker.shape[1]].T, num[:, ker.shape[1]:].T
+    comm = bivector_bracket(k[:, None], i[None], n)
+    return ex.from_scaled_int(comm.reshape(-1, num.shape[0]).T, den * den)
 
 
 def eigenspace_structure_residuals(curv):
@@ -284,13 +280,10 @@ def eigenspace_structure_residuals(curv):
     required to be closed and is not checked.
     """
     n = curv.m_dim
-    eig = curv.eigendata()
-    nonzero = [(lam, b) for lam, b in eig.pairs if abs(lam) > 10 * EPS]
+    nonzero = [(lam, b) for lam, b in curv.eigendata.pairs if abs(lam) > 10 * EPS]
 
     def brackets(ba, bb):  # rows: [a_i, b_j] for every column pair
-        sa = skew_from_bivector_coeffs(ba.T, n)[:, None]
-        sb = skew_from_bivector_coeffs(bb.T, n)[None]
-        return bivector_coeffs_from_skew(sa @ sb - sb @ sa).reshape(-1, len(ba))
+        return bivector_bracket(ba.T[:, None], bb.T[None], n).reshape(-1, len(ba))
 
     def off_span(vecs, basis):
         return float(row_norms(project(basis, vecs)[1]).max(initial=0.0))
@@ -427,13 +420,7 @@ def flat_model(n):
 
 def rescale_metric(space, factor):
     """Same space with the metric on m multiplied by an exact rational factor."""
-    factor = ex.frac(factor)
-    return SymmetricSpaceModel(
-        g=space.g, h_indices=space.h_indices, m_indices=space.m_indices,
-        metric_diag=space.metric_diag * factor, name=space.name,
-        flat_dim=space.flat_dim, isotropy_ref=space.isotropy_ref,
-        h_to_ref=space.h_to_ref,
-    )
+    return replace(space, metric_diag=space.metric_diag * ex.frac(factor))
 
 
 @functools.lru_cache(maxsize=None)
@@ -505,7 +492,7 @@ def space_from_text(text):
     for idx, v in liealg.checked_entries("h_to_ref", h2r if iso else (),
                                          np.shape(h_to_ref)):
         h_to_ref[idx] = v
+    flat_dim = liealg.header_int(head, "flat_dim") if "flat_dim" in head else 0
     return make_symmetric_space(
         alg, h_idx, [Fraction(v) for v in head["metric"]], " ".join(head["space"]),
-        flat_dim=int(head.get("flat_dim", [0])[0]), isotropy_ref=ref,
-        h_to_ref=h_to_ref)
+        flat_dim=flat_dim, isotropy_ref=ref, h_to_ref=h_to_ref)

@@ -205,11 +205,15 @@ def test_bad_tol_flag_is_a_parse_error(capsys, value):
     assert capsys.readouterr().err == "error: tolerance must be positive\n"
 
 
+def _env_with_tol(value):
+    src = os.path.dirname(os.path.dirname(symcurv.__file__))
+    return dict(os.environ, SYMCURV_TOL=value, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_bad_symcurv_tol_is_a_parse_error(value):
-    src = os.path.dirname(os.path.dirname(symcurv.__file__))
-    env = dict(os.environ, SYMCURV_TOL=value,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _env_with_tol(value)
     imp = subprocess.run([sys.executable, "-c", "import symcurv"], env=env,
                          capture_output=True, text=True)
     assert imp.returncode == 0, imp.stderr
@@ -219,6 +223,18 @@ def test_bad_symcurv_tol_is_a_parse_error(value):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and "SYMCURV_TOL" in res.stderr
     assert len(res.stderr.splitlines()) == 1
+
+
+def test_symcurv_tol_moves_every_verify_check():
+    # the random-pair residual here is about 3.6e-15: far below 1e-8, far
+    # above the 10 * SYMCURV_TOL bound every verify check is judged against
+    res = subprocess.run([sys.executable, "-m", "symcurv.cli", "verify", "S4",
+                          "spin4:(1,0)", "--samples", "10"],
+                         env=_env_with_tol("1e-20"), capture_output=True,
+                         text=True)
+    assert res.returncode == cli.EXIT_CHECK_FAILED, res.stderr
+    check = json.loads(res.stdout)["checks"]["bracket_identity_random"]
+    assert not check["ok"] and 0 < check["residual"] < 1e-8
 
 
 def _run_err(capsys, *argv):
@@ -245,6 +261,18 @@ def test_config_index_out_of_range_is_a_parse_error(tmp_path, capsys, line):
     assert code == cli.EXIT_PARSE_ERROR
     assert err.startswith("error: ") and "out of range" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, key", [
+    ("algebra x\ndim\nspace Q\nmetric 1\n", "dim"),
+    ("algebra x\ndim 1\nspace Q\nmetric 1\nflat_dim\n", "flat_dim"),
+])
+def test_bare_config_header_is_a_parse_error(tmp_path, capsys, text, key):
+    path = tmp_path / "spaces.txt"
+    path.write_text(text)
+    code, err = _run_err(capsys, "info", "Q", "--config", str(path))
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err == f"error: {key}: missing value\n"
 
 
 def test_bad_config_block_does_not_hide_another_space(tmp_path, capsys):

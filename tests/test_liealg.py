@@ -62,10 +62,8 @@ def test_validate_catches_jacobi_failure():
 def test_su2_structure():
     su2 = liealg.make_su(2)
     assert su2.dim == 3
-    # trace form is 2*identity; Killing form is -8*identity
+    # trace form is 2*identity
     assert ex.is_zero(su2.inner_product - 2 * ex.feye(3))
-    kf = liealg.killing_form(su2)
-    assert ex.is_zero(kf + 8 * ex.feye(3))
 
 
 def test_realify_bracket():

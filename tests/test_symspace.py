@@ -253,7 +253,7 @@ def test_scaled_integer_brackets_large_entries():
 def _eigenspace_residuals_ref(curv):
     """The per-pair loops that eigenspace_structure_residuals replaced."""
     n = curv.m_dim
-    nonzero = [b for lam, b in curv.eigendata().pairs if abs(lam) > 10 * EPS]
+    nonzero = [b for lam, b in curv.eigendata.pairs if abs(lam) > 10 * EPS]
 
     def skew(c):
         a = np.zeros((n, n))
