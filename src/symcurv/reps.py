@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _exact as ex
 from . import liealg
-from .linalg import CHECK_TOL, EPS, combine
+from .linalg import CHECK_TOL, combine
 
 
 class RepError(Exception):
@@ -367,19 +367,23 @@ def un_fundamental_twist(n, k):
                       complex_structure=_jc(n))
 
 
+def _block_diag(a, b):
+    """[[a, 0], [0, b]] for each pair of matrices along the leading axes."""
+    n1, n2 = a.shape[-1], b.shape[-1]
+    out = np.zeros(a.shape[:-2] + (n1 + n2, n1 + n2))
+    out[..., :n1, :n1] = a
+    out[..., n1:, n1:] = b
+    return out
+
+
 def direct_sum(r1, r2):
     if r1.source.name != r2.source.name or r1.source.dim != r2.source.dim:
         raise SourceMismatch(f"{r1.source.name} vs {r2.source.name}")
-    n1, n2 = r1.target_dim, r2.target_dim
-    images = np.zeros((r1.source.dim, n1 + n2, n1 + n2))
-    images[:, :n1, :n1] = r1.images
-    images[:, n1:, n1:] = r2.images
     jc = None
     if r1.complex_structure is not None and r2.complex_structure is not None:
-        jc = np.zeros((n1 + n2, n1 + n2))
-        jc[:n1, :n1] = r1.complex_structure
-        jc[n1:, n1:] = r2.complex_structure
-    return AlgebraRep(r1.source, images, label=f"sum({r1.label},{r2.label})",
+        jc = _block_diag(r1.complex_structure, r2.complex_structure)
+    return AlgebraRep(r1.source, _block_diag(r1.images, r2.images),
+                      label=f"sum({r1.label},{r2.label})",
                       complex_structure=jc)
 
 
@@ -396,30 +400,47 @@ def external_sum(r1, r2):
 # ---------------------------------------------------------------------------
 # commutant analysis
 
-def _intertwiners(r1, r2):
-    """Orthonormal basis of {T : rho2(X) T = T rho1(X) for all X}, each T
-    flattened row-major to length n1 * n2, from one SVD of the Kronecker
-    system."""
-    n1, n2 = r1.target_dim, r2.target_dim
-    if r1.source.dim == 0:
-        rows = np.zeros((1, n1 * n2))
-    else:
-        # kron(I, rho2(X_t)) - kron(rho1(X_t)^T, I) for every t at once, as
-        # broadcast products like np.kron's (a sum would lose signed zeros)
-        rows = np.eye(n1)[:, None, :, None] * r2.images[:, None, :, None, :]
-        rows -= (r1.images.transpose(0, 2, 1)[:, :, None, :, None]
-                 * np.eye(n2)[:, None, :])
-        rows = rows.reshape(len(r1.images) * n1 * n2, n1 * n2)
-    # the U factor is never used; only a short system needs the full V
-    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-    s = np.concatenate([s, np.zeros(n1 * n2 - len(s))])
-    return vt[s <= 100 * EPS * max(1.0, s.max(initial=1.0))]
-
-
 def commutant_basis(rep):
-    """Orthonormal basis (as matrices) of {C : [rho(X), C] = 0 for all X}."""
+    """Orthonormal basis, shape (d, n, n), of {C : [rho(X), C] = 0 for all X}.
+
+    Every such C commutes with A = sum_t c_t rho(X_t), so it maps each
+    eigenspace of A^T A = -A^2 (the images are skew) into itself: in an
+    eigenbasis of A^T A it is block-diagonal over the eigenvalue clusters.
+    The constraints [rho(X_t), C] = 0 are solved on those blocks alone,
+    sum m_i^2 unknowns instead of n^2. The fixed c_t need not be generic:
+    equal eigenvalues never split, so a poor A only merges blocks.
+    """
     n = rep.target_dim
-    return [v.reshape(n, n) for v in _intertwiners(rep, rep)]
+    # with no generators every matrix commutes: one zero image says so
+    images = rep.images if len(rep.images) else np.zeros((1, n, n))
+    k = len(images)
+    eps = np.finfo(float).eps
+    a = combine(np.sqrt(np.arange(2.0, k + 2)) + np.arange(k) / 7, images)
+    vals, q = np.linalg.eigh(a.T @ a)
+    # eigh's eigenvalues are accurate to about eps * max(vals). Splitting
+    # only at gaps above sqrt(eps) * max(vals) keeps the eigenvectors
+    # accurate to about sqrt(eps), so a commutant element cut to the blocks
+    # leaves a squared residual of about eps, under the null cutoff below
+    blocks = np.split(np.arange(n), 1 + np.flatnonzero(
+        np.diff(vals) > np.sqrt(eps) * vals.max(initial=0.0)))
+    rows = np.concatenate([np.repeat(b, len(b)) for b in blocks])
+    cols = np.concatenate([np.tile(b, len(b)) for b in blocks])
+    # column u holds [rho_t, E_u] for every t, E_u = e_rows[u] e_cols[u]^T
+    rho = q.T @ images @ q
+    u = np.arange(len(rows))
+    lhs = np.zeros((k, n, n, len(u)))
+    lhs[:, :, cols, u] = rho[:, :, rows]
+    lhs[:, rows, :, u] -= rho[:, cols, :].transpose(1, 0, 2)
+    lhs = lhs.reshape(k * n * n, len(u))
+    # the normal matrix has the same null space; rounding while forming it
+    # moves its zero eigenvalues by up to about max(shape) * eps * max(w)
+    w, v = np.linalg.eigh(lhs.T @ lhs)
+    null = v[:, w <= max(lhs.shape) * eps * w.max(initial=0.0)]
+    # the unknowns are orthonormal entries and q is orthogonal, so the basis
+    # stays orthonormal
+    out = np.zeros((null.shape[1], n, n))
+    out[:, rows, cols] = null.T
+    return q @ out @ q.T
 
 
 def _trace_form(rep):
@@ -438,11 +459,16 @@ def equivalent(r1, r2):
     if r1.source.dim == 0:
         return True
     # equivalent reps share the trace form tr(rho(X_s) rho(X_t)); the loose
-    # tolerance leaves every near decision to the SVD below
+    # tolerance leaves every near decision to the commutant below
     g1, g2 = _trace_form(r1), _trace_form(r2)
     if np.abs(g1 - g2).max() > 1e-6 * max(1.0, np.abs(g1).max(), np.abs(g2).max()):
         return False
-    null = _intertwiners(r1, r2)
+    # the commutant of r1 + r2 is the orthogonal sum of its four blocks, so
+    # its lower-left block has singular values 1 on Hom(r1, r2) and 0 off it
+    comm = commutant_basis(AlgebraRep(r1.source, _block_diag(r1.images, r2.images)))
+    _, s, vt = np.linalg.svd(comm[:, n:, :n].reshape(len(comm), n * n),
+                             full_matrices=False)
+    null = vt[s > 0.5]
     if len(null) == 0:
         return False
     # for orthogonal reps a generic combination of intertwiners is invertible

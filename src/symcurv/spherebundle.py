@@ -56,10 +56,9 @@ def c_tilde(bundle) -> CtildeResult:
     )
 
 
-def c_of(bundle_or_ct, u):
-    """C(u) = sum over ordered pairs |R^E(x_i, x_j) u|^2 = <C~ u, u>."""
-    ct = bundle_or_ct if isinstance(bundle_or_ct, CtildeResult) \
-        else c_tilde(bundle_or_ct)
+def c_of(ct, u):
+    """C(u) = sum over ordered pairs |R^E(x_i, x_j) u|^2 = <C~ u, u>, for
+    ct = c_tilde(bundle)."""
     u = np.asarray(u, dtype=float)
     return float(u @ ct.operator @ u)
 
@@ -87,7 +86,7 @@ def a_tensor_norm(bundle, r, profile, u):
     nu = np.linalg.norm(u)
     if abs(nu - 1.0) > 1e-9:
         raise ValueError("u must be a unit vector")
-    return 0.25 * profile.g(r) ** 2 * c_of(bundle, u)
+    return 0.25 * profile.g(r) ** 2 * c_of(c_tilde(bundle), u)
 
 
 def total_scalar_curvature(s_m, profile, a_norm):

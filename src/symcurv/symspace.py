@@ -88,8 +88,14 @@ class SymmetricSpaceModel:
     @functools.cached_property
     def ad_ref(self):
         """Read-only float ad(Y_t)|_m for each reference isotropy basis
-        element Y_t: ref_to_h() @ ad_h, shape (ref.dim, m_dim, m_dim)."""
-        out = ex.to_float(np.tensordot(self.ref_to_h(), self.ad_h, axes=(1, 0)))
+        element Y_t: ref_to_h() @ ad_h, shape (ref.dim, m_dim, m_dim),
+        multiplied in scaled integers and rounded once per entry."""
+        r, dr = ex.scale_to_int(self.ref_to_h(), degree=2, terms=self.h_dim)
+        a, da = ex.scale_to_int(self.ad_h, degree=2, terms=self.h_dim)
+        num = np.tensordot(r, a, axes=(1, 0))
+        # int / int is correctly rounded, as float(Fraction) is
+        out = np.array([int(v) / (dr * da) for v in num.reshape(-1)],
+                       dtype=float).reshape(num.shape)
         out.flags.writeable = False
         return out
 

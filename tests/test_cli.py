@@ -233,8 +233,28 @@ def test_symcurv_tol_moves_every_verify_check():
                          env=_env_with_tol("1e-20"), capture_output=True,
                          text=True)
     assert res.returncode == cli.EXIT_CHECK_FAILED, res.stderr
-    check = json.loads(res.stdout)["checks"]["bracket_identity_random"]
+    checks = json.loads(res.stdout)["checks"]
+    check = checks["bracket_identity_random"]
     assert not check["ok"] and 0 < check["residual"] < 1e-8
+    # the commutant's rank cutoff follows float64 precision, not the tolerance
+    schur = checks["schur_constancy"]
+    assert schur["irreducible"] and schur["status"] == "fail"
+
+
+def test_verify_spinor8_peak_memory():
+    # the commutant of the 32-dim spinor rep once took a (28672, 1024)
+    # system and about 985 MB
+    proc = subprocess.Popen([sys.executable, "-m", "symcurv.cli", "verify",
+                             "S8", "spinor:8", "--samples", "10"],
+                            env=_env_with_tol("1e-9"),  # the default
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    out, err = proc.stdout.read(), proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == cli.EXIT_OK, err
+    assert not json.loads(out)["checks"]["schur_constancy"]["irreducible"]
+    assert usage.ru_maxrss < 300 * 1024  # KiB on Linux
 
 
 def _run_err(capsys, *argv):

@@ -197,7 +197,7 @@ def test_descriptor_grammar():
 
 # ---------------------------------------------------------------------------
 # The per-generator np.kron system and the SVD-only equivalence test that
-# the batched code replaced, kept as references.
+# the centralizer code replaced, kept as references.
 
 def _intertwiners_ref(r1, r2, tol=None):
     tol = EPS * 100 if tol is None else tol
@@ -238,16 +238,47 @@ def _pool(name, rank):
     return [r for _, r in bn.catalog_irreps(ss.catalog(name), rank)]
 
 
-def test_intertwiners_match_kron_system():
-    fund = reps.un_fundamental_twist(2, -1)  # 2-dim null basis
-    assert len(reps._intertwiners(fund, fund)) == 2
-    pairs = [(fund, fund)]
+def _projector(basis):
+    flat = np.reshape(basis, (len(basis), -1))
+    return flat.T @ flat
+
+
+def _assert_same_commutant(rep):
+    got = reps.commutant_basis(rep)
+    want = _intertwiners_ref(rep, rep)
+    assert len(got) == len(want), rep.label
+    assert np.abs(_projector(got) - _projector(want)).max() <= 1e-10, rep.label
+
+
+def test_commutant_matches_kron_system():
+    fund = reps.un_fundamental_twist(2, -1)
+    assert len(reps.commutant_basis(fund)) == 2
+    singles = [fund, reps.spin4_irrep(2, 1), reps.su2_irrep(3),
+               reps.from_descriptor("sum(spin4:(1,0),spin4:(1,0))")]
+    singles += [reps.spin_fundamental(n) for n in (5, 6, 7)]
+    assert len(reps.commutant_basis(singles[3])) == 16
+    for rep in singles:
+        _assert_same_commutant(rep)
+    # a pair's intertwiners are a block of the commutant of its sum
     for name, rank in _POOLS:
         pool = _pool(name, rank)
-        pairs += list(itertools.product(pool, pool))
-    for r1, r2 in pairs:
-        assert reps._intertwiners(r1, r2).tobytes() == \
-            _intertwiners_ref(r1, r2).tobytes(), (r1.label, r2.label)
+        for r1, r2 in itertools.product(pool, pool):
+            _assert_same_commutant(reps.direct_sum(r1, r2))
+
+
+def test_spinor8_commutant():
+    # dimension and type as the Kronecker system gave them: two real
+    # half-spinors, each twice
+    rep = reps.spin_fundamental(8)
+    comm = reps.commutant_basis(rep)
+    assert len(comm) == 8
+    with pytest.raises(reps.Reducible):
+        reps.classify_type(rep)
+    scale = np.abs(rep.images).max() * np.abs(comm).max()
+    resid = rep.images[:, None] @ comm - comm @ rep.images[:, None]
+    assert np.abs(resid).max() <= 1e-12 * scale
+    flat = comm.reshape(8, -1)
+    assert np.abs(flat @ flat.T - np.eye(8)).max() <= 1e-12
 
 
 def test_equivalent_matches_svd_only_path(monkeypatch):

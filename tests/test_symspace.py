@@ -174,6 +174,19 @@ def test_sliced_curvature_matches_dense_path(name):
     assert np.array_equal(ss.isotropy_rep(space).images, iso)
 
 
+@pytest.mark.parametrize("name", [f"S{n}" for n in range(2, 9)]
+                         + [f"CP{n}" for n in (1, 2, 3)]
+                         + [f"R{n}" for n in range(1, 5)]
+                         + ["SU2_group", "S2xS3", "S2xR2", "CP3xCP3",
+                            "S4xS4xS4"])
+def test_ad_ref_matches_fraction_tensordot(name):
+    space = ss.catalog(name)
+    want = ex.to_float(np.tensordot(space.ref_to_h(), space.ad_h,
+                                    axes=(1, 0)))
+    assert space.ad_ref.tobytes() == want.tobytes()
+    assert space.ad_ref.shape == want.shape
+
+
 def test_curvature_operator_memoized_per_space():
     s2 = ss.catalog("S2")
     curv = ss.curvature_operator(s2)
