@@ -19,7 +19,9 @@ from . import reps as rp
 from . import symspace as ss
 from .linalg import (
     CHECK_TOL,
-    EPS,
+    INTEGRALITY_TOL,
+    RECOVER_TOL,
+    SQRT_EPS,
     NotInImage,
     bivector_bracket,
     bivector_coeffs_from_skew,
@@ -29,13 +31,10 @@ from .linalg import (
     row_norms,
     solve_on_image,
 )
+from .reps import SourceMismatch
 
 
 class BundleError(Exception):
-    pass
-
-
-class SourceMismatch(BundleError):
     pass
 
 
@@ -95,7 +94,7 @@ class RecoveredHom:
         tangent = ss.isotropy_rep(self.space)
         biv = bivector_coeffs_from_skew(tangent.images)
         coeffs, off = project(self.image_basis, biv)
-        if np.any(row_norms(off) > 100 * EPS * np.maximum(1.0, row_norms(biv))):
+        if np.any(row_norms(off) > SQRT_EPS * row_norms(biv)):
             raise NotInImage("isotropy image is not contained in Im R^M")
         return rp.AlgebraRep(tangent.source, combine(coeffs, self.images),
                              label="recovered")
@@ -171,7 +170,7 @@ def recover_rho_hat(space, blocks) -> RecoveredHom:
     NotHomomorphism when the reconstructed map fails to be a Lie algebra
     homomorphism on the holonomy algebra.
     """
-    tol = 100 * EPS
+    tol = RECOVER_TOL
     curv = ss.curvature_operator(space)
     blocks = np.asarray(blocks, dtype=float)
     scale = max(1.0, np.abs(blocks).max(initial=0.0))
@@ -211,7 +210,7 @@ class CharClassReport:
     p1: float | None
     c1: float | None = None
     c2: float | None = None
-    tolerance: float = 1e-6
+    tolerance: float = INTEGRALITY_TOL
 
     def integral(self):
         vals = [v for v in (self.euler, self.p1, self.c1, self.c2)
@@ -260,7 +259,7 @@ def _complex_trace(m, jc):
     return 0.5 * (np.trace(m) - 1j * np.trace(jc @ m))
 
 
-def characteristic_numbers(bundle, tolerance=1e-6) -> CharClassReport:
+def characteristic_numbers(bundle, tolerance=INTEGRALITY_TOL) -> CharClassReport:
     """Chern-Weil numbers by density-at-a-point times volume.
 
     Supported bases are round 2- and 4-dimensional catalog spaces (unit or

@@ -252,7 +252,7 @@ def _cp_weight_report(space, rep):
 def cmd_charclasses(args):
     space = load_space(args.space, args.config)
     rep = parse_rep(args.rep, space)
-    tol = args.tol or 1e-6
+    tol = args.tol or linalg.INTEGRALITY_TOL
     cn = getattr(space.isotropy_ref, "complex_n", None)  # n of CP^n's u(n)
     if cn and space.m_dim > 2 and space.m_dim - space.flat_dim == 2 * cn:
         weight = _cp_weight_report(space, rep)

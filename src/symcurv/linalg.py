@@ -14,25 +14,56 @@ import numpy as np
 from ._exact import fzeros
 
 
+# ---------------------------------------------------------------------------
+# tolerance table
+#
+# Numerical cutoffs decide clusters, ranks and span membership. They read
+# only float64's precision, the problem's size and its own scale, so they
+# never move with SYMCURV_TOL and do not change under a rescaling.
+
+FLOAT_EPS = float(np.finfo(float).eps)
+# eigh's eigenvalues are accurate to about FLOAT_EPS * scale. Clusters split
+# only at gaps above SQRT_EPS * scale keep their eigenvectors, and the spans
+# and commutants built from them, accurate to about SQRT_EPS.
+SQRT_EPS = math.sqrt(FLOAT_EPS)
+# equivalent reps share their trace forms; a relative difference above this
+# rules equivalence out, and every nearer decision is left to the commutant
+TRACE_FORM_TOL = 1e-6
+
+
+def null_cut(shape, scale):
+    """Largest eigenvalue of the normal matrix A^T A read as zero, for A of
+    the given shape and A^T A's largest eigenvalue scale: rounding while
+    forming it moves zero eigenvalues by up to about max(shape) * eps * scale."""
+    return max(shape) * FLOAT_EPS * scale
+
+
+# Check bounds judge the residuals that reports print. Only they move with
+# SYMCURV_TOL (EPS) or a command's --tol.
+
+DEFAULT_TOL = 1e-9
+
+
 def _tol_from_env():
     """SYMCURV_TOL as a positive finite float, and None; or the default and
     a one-line error for the CLI to report, so importing never fails."""
-    raw = os.environ.get("SYMCURV_TOL", "1e-9")
+    raw = os.environ.get("SYMCURV_TOL", str(DEFAULT_TOL))
     try:
         if 0 < float(raw) < math.inf:
             return float(raw), None
     except ValueError:
         pass
-    return 1e-9, f"SYMCURV_TOL must be a positive number, got {raw!r}"
+    return DEFAULT_TOL, f"SYMCURV_TOL must be a positive number, got {raw!r}"
 
 
 EPS, EPS_ERROR = _tol_from_env()
-# default bound of every verification check; 1e-8 when SYMCURV_TOL is unset
+# default bound of the verify, classify and Schur checks
 CHECK_TOL = 10 * EPS
-
-
-def cluster_gap():
-    return 10.0 * EPS
+# bound at which recover_rho_hat rejects a candidate curvature
+RECOVER_TOL = 100 * EPS
+# default distance from an integer that charclasses accepts as integral
+INTEGRALITY_TOL = 1e-6
+# ---------------------------------------------------------------------------
 
 
 class LinalgError(Exception):
@@ -112,24 +143,19 @@ def row_norms(x):
 
 
 def eig_sym(m) -> EigenDecomposition:
-    """Eigenvalues of a symmetric matrix clustered within cluster_gap(),
-    each with an orthonormal basis of its eigenspace."""
+    """Eigenvalues of a symmetric matrix, clustered at gaps of at most
+    SQRT_EPS times the largest magnitude, each with an orthonormal basis of
+    its eigenspace. The cluster whose mean is within that gap of 0 is the
+    kernel, with eigenvalue exactly 0.0."""
     m = np.asarray(m, dtype=float)
-    if m.size and float(np.abs(m - m.T).max()) > EPS:
-        raise NotSymmetric("operator is not symmetric within tolerance")
     if m.size == 0:
         return EigenDecomposition(pairs=[], kernel=np.zeros((0, 0)))
     vals, vecs = np.linalg.eigh(m)
-    gap = cluster_gap()
-    clusters = []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > gap:
-            clusters.append((start, k))
-            start = k
+    gap = SQRT_EPS * np.abs(vals).max()
+    bounds = [0, *(1 + np.flatnonzero(np.diff(vals) > gap)), len(vals)]
     pairs = []
     kernel = np.zeros((m.shape[0], 0))
-    for a, b in clusters:
+    for a, b in zip(bounds, bounds[1:]):
         lam = float(np.mean(vals[a:b]))
         basis = vecs[:, a:b]
         if abs(lam) <= gap:
@@ -146,8 +172,8 @@ def solve_on_image(eig: EigenDecomposition, y):
     """Preimage of y under the operator with eigendata eig, restricted to
     its image.
 
-    Requires y to lie in the image within EPS; the returned x satisfies
-    op(x) = y and is orthogonal to ker(op).
+    Requires y to lie in the image to within SQRT_EPS of its norm; the
+    returned x satisfies op(x) = y and is orthogonal to ker(op).
     """
     y = np.asarray(y, dtype=float)
     x = np.zeros_like(y)
@@ -159,6 +185,6 @@ def solve_on_image(eig: EigenDecomposition, y):
         proj += basis @ comp
         x += basis @ (comp / lam)
     resid = float(np.linalg.norm(y - proj))
-    if resid > EPS * max(1.0, float(np.linalg.norm(y))):
+    if resid > SQRT_EPS * float(np.linalg.norm(y)):
         raise NotInImage(f"projection residual {resid:.3e} exceeds tolerance")
     return x

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _exact as ex
 from . import liealg
-from .linalg import CHECK_TOL, combine
+from .linalg import SQRT_EPS, TRACE_FORM_TOL, combine, null_cut
 
 
 class RepError(Exception):
@@ -70,14 +70,6 @@ class RepType:
     witness: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class HomReport:
-    ok: bool
-    max_bracket_error: float
-    max_skew_error: float
-    max_jc_error: float
-
-
 def _realify_linear(m):
     """Complex matrix acting C^n -> real 2n x 2n in the (Re, Im) splitting."""
     a, b = m.real, m.imag
@@ -94,22 +86,6 @@ def _jc(n):
     z = np.zeros((n, n))
     i = np.eye(n)
     return np.block([[z, -i], [i, z]])
-
-
-def validate_homomorphism(rep) -> HomReport:
-    im = rep.images
-    i, j = np.triu_indices(rep.source.dim, 1)
-    lhs = im[i] @ im[j] - im[j] @ im[i]
-    rhs = combine(rep.source.structure_float()[i, j], im)
-    bracket_err = float(np.abs(lhs - rhs).max(initial=0.0))
-    skew_err = float(np.abs(im + im.transpose(0, 2, 1)).max(initial=0.0))
-    jc_err = 0.0
-    if rep.complex_structure is not None:
-        jc = rep.complex_structure
-        jc_err = max(np.abs(jc @ jc + np.eye(rep.target_dim)).max(),
-                     np.abs(jc @ im - im @ jc).max(initial=0.0))
-    ok = max(bracket_err, skew_err, jc_err) <= CHECK_TOL
-    return HomReport(ok, bracket_err, skew_err, jc_err)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +162,7 @@ def real_form(rep):
         raise RepError("rep has no structure map squaring to +1")
     j = rep.structure_map
     n = rep.target_dim
-    if np.abs(j @ j - np.eye(n)).max() > CHECK_TOL:
+    if np.abs(j @ j - np.eye(n)).max() > SQRT_EPS:
         raise RepError("structure map does not square to +1")
     vals, vecs = np.linalg.eigh((j + j.T) / 2)
     q = vecs[:, vals > 0.5]
@@ -194,7 +170,7 @@ def real_form(rep):
     resid = max(
         np.abs(m @ q - q @ (q.T @ m @ q)).max(initial=0.0) for m in rep.images
     )
-    if resid > CHECK_TOL:
+    if resid > SQRT_EPS * np.abs(rep.images).max(initial=0.0):
         raise RepError("fixed space of structure map is not invariant")
     return AlgebraRep(rep.source, images, label=rep.label + "|real")
 
@@ -291,12 +267,10 @@ def spin_fundamental(n, chirality=None):
         omega = np.eye(gam[0].shape[0], dtype=complex) * (-1j) ** m
         for g in gam:
             omega = omega @ g
-        want = 1.0 if chirality == "+" else -1.0
-        vals, vecs = np.linalg.eigh(omega.real) if np.abs(omega.imag).max() < 1e-12 \
-            else np.linalg.eig(omega)
-        sel = np.abs(vals - want) < 1e-9
-        q = vecs[:, sel]
-        images = [q.conj().T @ g @ q for g in images]
+        # omega is real for n = 4, 6, 8, with eigenvalues +1 and -1
+        vals, vecs = np.linalg.eigh(omega.real)
+        q = vecs[:, vals > 0 if chirality == "+" else vals < 0]
+        images = [q.T @ g @ q for g in images]
         label = f"spinor{chirality}:{n}"
     nd = images[0].shape[0]
     return AlgebraRep(
@@ -414,15 +388,12 @@ def commutant_basis(rep):
     # with no generators every matrix commutes: one zero image says so
     images = rep.images if len(rep.images) else np.zeros((1, n, n))
     k = len(images)
-    eps = np.finfo(float).eps
     a = combine(np.sqrt(np.arange(2.0, k + 2)) + np.arange(k) / 7, images)
     vals, q = np.linalg.eigh(a.T @ a)
-    # eigh's eigenvalues are accurate to about eps * max(vals). Splitting
-    # only at gaps above sqrt(eps) * max(vals) keeps the eigenvectors
-    # accurate to about sqrt(eps), so a commutant element cut to the blocks
-    # leaves a squared residual of about eps, under the null cutoff below
+    # eigenvectors accurate to about SQRT_EPS leave a commutant element cut
+    # to the blocks a squared residual of about eps, under the null cutoff
     blocks = np.split(np.arange(n), 1 + np.flatnonzero(
-        np.diff(vals) > np.sqrt(eps) * vals.max(initial=0.0)))
+        np.diff(vals) > SQRT_EPS * vals.max(initial=0.0)))
     rows = np.concatenate([np.repeat(b, len(b)) for b in blocks])
     cols = np.concatenate([np.tile(b, len(b)) for b in blocks])
     # column u holds [rho_t, E_u] for every t, E_u = e_rows[u] e_cols[u]^T
@@ -432,10 +403,9 @@ def commutant_basis(rep):
     lhs[:, :, cols, u] = rho[:, :, rows]
     lhs[:, rows, :, u] -= rho[:, cols, :].transpose(1, 0, 2)
     lhs = lhs.reshape(k * n * n, len(u))
-    # the normal matrix has the same null space; rounding while forming it
-    # moves its zero eigenvalues by up to about max(shape) * eps * max(w)
+    # the normal matrix has the same null space
     w, v = np.linalg.eigh(lhs.T @ lhs)
-    null = v[:, w <= max(lhs.shape) * eps * w.max(initial=0.0)]
+    null = v[:, w <= null_cut(lhs.shape, w.max(initial=0.0))]
     # the unknowns are orthonormal entries and q is orthogonal, so the basis
     # stays orthonormal
     out = np.zeros((null.shape[1], n, n))
@@ -458,10 +428,10 @@ def equivalent(r1, r2):
     n = r1.target_dim
     if r1.source.dim == 0:
         return True
-    # equivalent reps share the trace form tr(rho(X_s) rho(X_t)); the loose
-    # tolerance leaves every near decision to the commutant below
+    # equivalent reps share the trace form tr(rho(X_s) rho(X_t))
     g1, g2 = _trace_form(r1), _trace_form(r2)
-    if np.abs(g1 - g2).max() > 1e-6 * max(1.0, np.abs(g1).max(), np.abs(g2).max()):
+    scale = max(1.0, np.abs(g1).max(), np.abs(g2).max())
+    if np.abs(g1 - g2).max() > TRACE_FORM_TOL * scale:
         return False
     # the commutant of r1 + r2 is the orthogonal sum of its four blocks, so
     # its lower-left block has singular values 1 on Hom(r1, r2) and 0 off it
@@ -471,12 +441,13 @@ def equivalent(r1, r2):
     null = vt[s > 0.5]
     if len(null) == 0:
         return False
-    # for orthogonal reps a generic combination of intertwiners is invertible
+    # for orthogonal reps a generic combination of intertwiners is invertible.
+    # The blocks are accurate only to about SQRT_EPS, so a singular
+    # combination reads as invertible under a cut of n * eps
     rng = np.random.default_rng(7)
     for _ in range(8):
         t = np.tensordot(rng.standard_normal(len(null)), null, axes=(0, 0))
-        t = t.reshape(n, n)
-        if np.linalg.matrix_rank(t, tol=1e-8) == n:
+        if np.linalg.matrix_rank(t.reshape(n, n), rtol=SQRT_EPS) == n:
             return True
     return False
 
@@ -493,31 +464,27 @@ def classify_type(rep) -> RepType:
     n = rep.target_dim
     if cdim == 1:
         return RepType("real", 1, witness=np.eye(n))
-    # traceless part of the commutant
-    traceless = []
-    for c in comm:
-        t = c - np.trace(c) / n * np.eye(n)
-        if np.abs(t).max() > 1e-10:
-            traceless.append(t)
-    tl = []
-    if traceless:
-        mat = np.stack([t.ravel() for t in traceless])
-        u, s, vt = np.linalg.svd(mat)
-        tl = [vt[i].reshape(n, n) for i in range(len(s))
-              if s[i] > 1e-9 * s.max()]
-    if cdim == 2 and len(tl) == 1:
+    if cdim in (2, 4):
+        # the commutant contains I, so the traceless parts of its basis span
+        # cdim - 1 dimensions: the top right singular vectors, unit norm, so
+        # SQRT_EPS is the precision of each test below
+        tl = comm - np.trace(comm, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+        _, _, vt = np.linalg.svd(tl.reshape(cdim, n * n), full_matrices=False)
+        tl = vt[: cdim - 1].reshape(-1, n, n)
         s = tl[0]
-        s2 = s @ s
-        lam = np.trace(s2) / n
-        if lam < -1e-10 and np.abs(s2 - lam * np.eye(n)).max() < 1e-8:
-            j = s / math.sqrt(-lam)
-            return RepType("complex", 2, witness=j)
-    if cdim == 4 and len(tl) == 3:
-        gram = np.array([[np.trace(a @ b) for b in tl] for a in tl])
-        if np.all(np.linalg.eigvalsh(gram) < -1e-10 * n):
-            s = tl[0]
-            lam = np.trace(s @ s) / n
-            return RepType("quaternionic", 4, witness=s / math.sqrt(-lam))
+        lam = np.trace(s @ s) / n
+        if cdim == 2:
+            # complex: the traceless element squares to a negative multiple of I
+            ok = lam < -SQRT_EPS and \
+                np.abs(s @ s - lam * np.eye(n)).max() < SQRT_EPS
+        else:
+            # quaternionic: the squaring form on the traceless part is
+            # negative definite
+            gram = np.einsum("aij,bji->ab", tl, tl)
+            ok = np.all(np.linalg.eigvalsh(gram) < -SQRT_EPS)
+        if ok:
+            return RepType("complex" if cdim == 2 else "quaternionic", cdim,
+                           witness=s / math.sqrt(-lam))
     raise Reducible(f"commutant dimension {cdim} is not of division-algebra type")
 
 

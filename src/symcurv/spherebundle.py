@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CHECK_TOL
+from .linalg import CHECK_TOL, SQRT_EPS
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def a_tensor_norm(bundle, r, profile, u):
         raise ValueError("radius must be positive")
     u = np.asarray(u, dtype=float)
     nu = np.linalg.norm(u)
-    if abs(nu - 1.0) > 1e-9:
+    if abs(nu - 1.0) > SQRT_EPS:
         raise ValueError("u must be a unit vector")
     return 0.25 * profile.g(r) ** 2 * c_of(c_tilde(bundle), u)
 

@@ -17,7 +17,6 @@ import numpy as np
 from . import _exact as ex
 from . import liealg, linalg
 from .linalg import (
-    EPS,
     bivector_bracket,
     bivector_coeffs_from_skew,
     pair_index,
@@ -286,7 +285,7 @@ def eigenspace_structure_residuals(curv):
     required to be closed and is not checked.
     """
     n = curv.m_dim
-    nonzero = [(lam, b) for lam, b in curv.eigendata.pairs if abs(lam) > 10 * EPS]
+    nonzero = [(lam, b) for lam, b in curv.eigendata.pairs if lam != 0.0]
 
     def brackets(ba, bb):  # rows: [a_i, b_j] for every column pair
         return bivector_bracket(ba.T[:, None], bb.T[None], n).reshape(-1, len(ba))

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symcurv import _exact as ex
 from symcurv import bundles as bn
@@ -164,6 +166,43 @@ def test_char_rescale_invariance():
     s4 = ss.rescale_metric(ss.catalog("S4"), 4)
     c = bn.characteristic_numbers(bn.induce(s4, reps.spin4_irrep(1, 0)))
     assert abs(c.euler - 1.0) < 1e-9 and abs(c.p1 - 2.0) < 1e-9
+
+
+_RESCALE_SPACES = ("S2", "S4", "CP2", "S2xS3")
+_RESCALE_BUNDLES = (("S2", "spin2:1"), ("S4", "spin4:(1,0)"),
+                    ("CP1", "det:(1,1)"))
+
+
+@settings(max_examples=8, deadline=None)
+@example(c=Fraction(10**9))
+@example(c=Fraction(1, 10**6))
+@given(c=st.fractions(Fraction(1, 10**6), 10**9, max_denominator=10**6))
+def test_metric_rescaling(c):
+    # metric * c scales R^M by 1/c exactly; every float decision taken on
+    # its spectrum has to follow, whatever the scale
+    for name in _RESCALE_SPACES:
+        space = ss.catalog(name)
+        scaled = ss.rescale_metric(space, c)
+        curv = ss.curvature_operator(space)
+        got = ss.curvature_operator(scaled)
+        assert (got.matrix == curv.matrix / c).all(), name
+        lams, mults = zip(*curv.spectrum())
+        got_lams, got_mults = zip(*got.spectrum())
+        assert got_mults == mults, (name, c)
+        assert np.allclose(got_lams, np.array(lams) / float(c), rtol=1e-12,
+                           atol=0.0), (name, c)
+        assert got.eigendata.kernel.shape[1] == got.kernel_basis.shape[1]
+        want = ss.condition_a(space)
+        report = ss.condition_a(scaled)
+        assert (report.holds, report.dim_kernel, report.dim_span_bracket) == \
+            (want.holds, want.dim_kernel, want.dim_span_bracket), (name, c)
+    for name, desc in _RESCALE_BUNDLES:
+        space = ss.catalog(name)
+        rep = reps.from_descriptor(desc, source=space.isotropy_ref)
+        want = bn.characteristic_numbers(bn.induce(space, rep)).to_dict()
+        got = bn.characteristic_numbers(
+            bn.induce(ss.rescale_metric(space, c), rep)).to_dict()
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (name, c)
 
 
 def test_char_additivity():

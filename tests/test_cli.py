@@ -99,6 +99,13 @@ def test_verify_wrong_source(capsys):
     assert code == cli.EXIT_UNSUPPORTED
 
 
+def test_verify_sum_over_two_algebras(capsys):
+    # su2:2 acts on su(2); the trivial part takes S3's so(3)
+    code, err = _run_err(capsys, "verify", "S3", "sum(su2:2,trivial:1)")
+    assert code == cli.EXIT_UNSUPPORTED
+    assert err == "error: su(2) vs so(3)\n"
+
+
 def test_charclasses_spinor(capsys):
     code, out = run(capsys, "charclasses", "S4", "spin4:(1,0)")
     assert code == 0
@@ -239,6 +246,29 @@ def test_symcurv_tol_moves_every_verify_check():
     # the commutant's rank cutoff follows float64 precision, not the tolerance
     schur = checks["schur_constancy"]
     assert schur["irreducible"] and schur["status"] == "fail"
+
+
+@pytest.mark.parametrize("space", ["CP2", "CP3"])
+def test_tiny_symcurv_tol_leaves_info_unchanged(capsys, space):
+    # info judges no residual: its spectrum is clustered at a gap set by
+    # float64 precision, which a tolerance below rounding does not move
+    _, want = run(capsys, "info", space)
+    res = subprocess.run([sys.executable, "-m", "symcurv.cli", "info", space],
+                         env=_env_with_tol("1e-20"), capture_output=True,
+                         text=True)
+    assert res.returncode == cli.EXIT_OK, res.stderr
+    assert res.stdout == want and res.stderr == ""
+
+
+def test_tiny_symcurv_tol_still_builds_real_forms():
+    # real_form tests its fixed space to float64 precision, so a tolerance
+    # below rounding fails the checks it judges, not the construction
+    res = subprocess.run([sys.executable, "-m", "symcurv.cli", "verify", "S4",
+                          "spin4:(2,0)", "--samples", "10"],
+                         env=_env_with_tol("1e-20"), capture_output=True,
+                         text=True)
+    assert res.returncode == cli.EXIT_CHECK_FAILED and res.stderr == ""
+    assert json.loads(res.stdout)["checks"]["schur_constancy"]["irreducible"]
 
 
 def test_verify_spinor8_peak_memory():

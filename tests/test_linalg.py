@@ -1,6 +1,9 @@
-"""Bivector/skew identification and spectral helpers."""
+"""Bivector/skew identification, spectral helpers and the tolerance table."""
 
+import ast
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,3 +84,36 @@ def test_exact_mode_roundtrip():
     assert m.dtype == object
     back = la.bivector_coeffs_from_skew(m)
     assert all(a == b for a, b in zip(back, v))
+
+
+def test_tolerances_live_in_the_table():
+    # float tolerance literals only in linalg's table, and SYMCURV_TOL (EPS)
+    # read only by the check bounds defined there
+    src = Path(la.__file__).parent
+    lines = Path(la.__file__).read_text().splitlines()
+    start = lines.index("# tolerance table")
+    end = next(i for i in range(start, len(lines))
+               if lines[i].startswith("# ---"))
+    bounds = set()
+    for node in ast.parse("\n".join(lines)).body:
+        if isinstance(node, ast.Assign) and getattr(
+                node.targets[0], "id", None) in ("CHECK_TOL", "RECOVER_TOL"):
+            bounds.add(node.lineno)
+    assert len(bounds) == 2
+    literals, eps_reads = [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        is_linalg = path.name == "linalg.py"
+        for i, line in enumerate(text.splitlines()):
+            if re.search(r"[0-9]e-[0-9]", line) and not (
+                    is_linalg and start < i < end):
+                literals.append(f"{path.name}:{i + 1}: {line.strip()}")
+        for node in ast.walk(ast.parse(text)):
+            read = (isinstance(node, ast.Name) and node.id == "EPS"
+                    and isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Attribute) and node.attr == "EPS"
+                    or isinstance(node, ast.ImportFrom)
+                    and any(a.name == "EPS" for a in node.names))
+            if read and not (is_linalg and node.lineno in bounds):
+                eps_reads.append(f"{path.name}:{node.lineno}")
+    assert not literals and not eps_reads

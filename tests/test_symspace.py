@@ -11,6 +11,8 @@ from symcurv import liealg
 from symcurv import symspace as ss
 from symcurv.linalg import EPS, bivector_coeffs_from_skew, pair_index
 
+from homomorphism import validate_homomorphism
+
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_unit_sphere_curvature_identity(n):
@@ -105,10 +107,9 @@ def test_serialization_roundtrip():
 
 
 def test_isotropy_rep_is_homomorphism():
-    from symcurv import reps
     for name in ["S2", "S4", "CP2", "SU2_group", "S2xS3"]:
         rep = ss.isotropy_rep(ss.catalog(name))
-        assert reps.validate_homomorphism(rep).ok, name
+        assert validate_homomorphism(rep).ok, name
 
 
 def _dense_reference(space):
