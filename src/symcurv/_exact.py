@@ -187,11 +187,6 @@ def _isqrt_exact(n):
     return r if r * r == n else None
 
 
-def dot(a, b):
-    """Exact matrix/vector product for object arrays."""
-    return np.dot(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
-
-
 def trace_form(a, b):
     """Inner product <a, b> = tr(a^T b) / 2 on square matrices."""
     return Fraction(np.sum(np.asarray(a, dtype=object) * np.asarray(b, dtype=object)), 2)

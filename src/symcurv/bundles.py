@@ -89,7 +89,7 @@ class RecoveredHom:
 
     def as_rep(self):
         """rho-hat composed with the isotropy identification: a rep of the
-        reference isotropy algebra (of the zero algebra when the space has
+        isotropy algebra (of the zero algebra when the space has
         none)."""
         tangent = ss.isotropy_rep(self.space)
         biv = bivector_coeffs_from_skew(tangent.images)
@@ -114,13 +114,7 @@ def induce(space, rep) -> InducedBundle:
     """Curvature of the bundle attached to rep via R^E = rho o pihat^-1 o R^M."""
     check_source(space, rep)
     curv = ss.curvature_operator(space)
-    hc = ex.to_float(curv.h_coeff)
-    if space.h_dim:
-        h2r = ex.to_float(space.h_to_ref)
-        coeffs = hc @ h2r
-    else:
-        coeffs = np.zeros((hc.shape[0], rep.source.dim))
-    blocks = combine(coeffs, rep.images)
+    blocks = combine(ex.to_float(curv.h_coeff), rep.images)
     return InducedBundle(space=space, rep=rep, blocks=blocks, curv=curv)
 
 

@@ -30,9 +30,6 @@ class LieAlgebraModel:
         t = np.tensordot(v, self.structure, axes=(0, 0))
         return np.tensordot(w, t, axes=(0, 0))
 
-    def structure_float(self):
-        return np.asarray(self.structure, dtype=float)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -225,10 +222,16 @@ def change_basis(alg, p, name=None, labels=None):
 
 
 def validate(alg) -> ValidationReport:
-    c, ip = alg.structure, alg.inner_product
+    """Antisymmetry, Jacobi and Ad-invariance of the inner product, on
+    scaled integers. Each check is homogeneous in the structure constants
+    and in the inner product, so a common denominator does not change its
+    zeros."""
+    d = alg.dim
+    c, _ = ex.scale_to_int(alg.structure, degree=2, terms=3 * d)
+    ip, _ = ex.scale_to_int(alg.inner_product, degree=2, terms=3 * d)
     anti = np.argwhere((c + c.transpose(1, 0, 2)).any(axis=-1))
     total = _jacobi_total(c)
-    s = np.dot(c, ip)  # s[i, j, k] = <[X_i, X_j], X_k>
+    s = c @ ip  # s[i, j, k] = <[X_i, X_j], X_k>, scaled
     inv = np.argwhere(s + s.transpose(0, 2, 1))
     witness = None
     if len(anti):
@@ -241,10 +244,9 @@ def validate(alg) -> ValidationReport:
 
 
 def _jacobi_total(c):
-    """J[i, j, k] = [[X_i, X_j], X_k] + cyclic, in scaled integers. Jacobi
-    is homogeneous, so a common denominator does not change its zeros."""
-    ci, _ = ex.scale_to_int(c, degree=2, terms=3 * c.shape[0])
-    t = np.einsum("ijm,mkl->ijkl", ci, ci)
+    """J[i, j, k] = [[X_i, X_j], X_k] + cyclic, from scaled-integer
+    structure constants c."""
+    t = np.einsum("ijm,mkl->ijkl", c, c)
     return t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
 
 

@@ -10,7 +10,6 @@ else = reducible.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -105,7 +104,7 @@ def spin2_irrep(k):
     tangent representation of the 2-sphere.
     """
     if k == 0:
-        raise RepError("k = 0 is the trivial weight; use trivial_rep")
+        raise DescriptorError("k = 0 is the trivial weight; use trivial_rep")
     so2 = liealg.make_so(2)
     img = np.array([[[0.0, -k / 2], [k / 2, 0.0]]])
     return AlgebraRep(
@@ -144,7 +143,7 @@ def _su2_complex(k):
 def su2_irrep(k):
     """Complex irreducible of su(2) with complex dimension k+1, realified."""
     if k < 0:
-        raise RepError("k must be nonnegative")
+        raise DescriptorError("k must be nonnegative")
     su2, images, jmat = _su2_complex(k)
     return AlgebraRep(
         source=su2,
@@ -190,15 +189,12 @@ def spin4_irrep(k1, k2):
     is even (structure map squares to +1) and realified otherwise.
     """
     if k1 < 0 or k2 < 0:
-        raise RepError("k1, k2 must be nonnegative")
+        raise DescriptorError("k1, k2 must be nonnegative")
     so4 = liealg.make_so(4)
-    # coordinates of each so(4) basis element along the two ideals:
-    # |phi(B_a)|^2 = 2 in the trace form, so project with gram solve
-    def coords(m):
-        w = m * np.diag(so4.inner_product)
-        return ex.to_float(ex.solve(ex.dot(w, m.T), w).T)
-
-    cp, cq = coords(_SO4_P), coords(_SO4_Q)
+    # coordinates of each so(4) basis element along the two ideals: the rows
+    # of _SO4_P and _SO4_Q are orthogonal, of squared norm 2 in so(4)'s
+    # identity inner product
+    cp, cq = ex.to_float(_SO4_P.T / 2), ex.to_float(_SO4_Q.T / 2)
     _, im1, j1 = _su2_complex(k1)
     _, im2, j2 = _su2_complex(k2)
     n1, n2 = k1 + 1, k2 + 1

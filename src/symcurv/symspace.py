@@ -53,9 +53,9 @@ class SymmetricSpaceModel:
     metric_diag: np.ndarray  # Fractions: <X_a, X_a> for the chosen m basis
     name: str
     flat_dim: int = 0
-    # reference isotropy algebra and the coordinates of each h basis element in it
+    # the isotropy algebra in h's basis: its structure constants are
+    # g.structure[h, h, h]
     isotropy_ref: liealg.LieAlgebraModel | None = None
-    h_to_ref: np.ndarray | None = None  # (len h, ref.dim) Fractions
 
     @property
     def m_dim(self):
@@ -64,9 +64,6 @@ class SymmetricSpaceModel:
     @property
     def h_dim(self):
         return len(self.h_indices)
-
-    def ref_to_h(self):
-        return ex.inverse(np.asarray(self.h_to_ref, dtype=object))
 
     @functools.cached_property
     def ad_h(self):
@@ -86,15 +83,8 @@ class SymmetricSpaceModel:
 
     @functools.cached_property
     def ad_ref(self):
-        """Read-only float ad(Y_t)|_m for each reference isotropy basis
-        element Y_t: ref_to_h() @ ad_h, shape (ref.dim, m_dim, m_dim),
-        multiplied in scaled integers and rounded once per entry."""
-        r, dr = ex.scale_to_int(self.ref_to_h(), degree=2, terms=self.h_dim)
-        a, da = ex.scale_to_int(self.ad_h, degree=2, terms=self.h_dim)
-        num = np.tensordot(r, a, axes=(1, 0))
-        # int / int is correctly rounded, as float(Fraction) is
-        out = np.array([int(v) / (dr * da) for v in num.reshape(-1)],
-                       dtype=float).reshape(num.shape)
+        """Read-only float copy of ad_h: the images of the isotropy basis."""
+        out = ex.to_float(self.ad_h)
         out.flags.writeable = False
         return out
 
@@ -142,7 +132,7 @@ class ConditionAReport:
 
 
 def make_symmetric_space(g, h_indices, metric_diag, name, flat_dim=0,
-                         isotropy_ref=None, h_to_ref=None):
+                         isotropy_ref=None):
     """Validated Cartan pair with a diagonal Ad(h)-invariant metric on m."""
     h_indices = tuple(h_indices)
     m_indices = tuple(i for i in range(g.dim) if i not in h_indices)
@@ -179,7 +169,6 @@ def make_symmetric_space(g, h_indices, metric_diag, name, flat_dim=0,
     return SymmetricSpaceModel(
         g=g, h_indices=h_indices, m_indices=m_indices, metric_diag=metric_diag,
         name=name, flat_dim=flat_dim, isotropy_ref=isotropy_ref,
-        h_to_ref=None if h_to_ref is None else np.asarray(h_to_ref, dtype=object),
     )
 
 
@@ -220,20 +209,15 @@ def _curvature_from_slices(space):
 
 
 def isotropy_rep(space):
-    """pi-hat as an AlgebraRep on the reference isotropy algebra.
-
-    Image of the reference basis element Y_t is ad(H_t)|_m where H_t is
-    the h element with ref coordinates e_t.
-    """
+    """pi-hat as an AlgebraRep on the isotropy algebra: the image of its
+    basis element H_t is ad(H_t)|_m."""
     from .reps import AlgebraRep  # local import to avoid a cycle
 
     ref = space.isotropy_ref
-    if ref is None or ref.dim == 0:
-        src = ref if ref is not None else liealg.make_abelian(0)
-        return AlgebraRep(
-            source=src, images=np.zeros((src.dim, space.m_dim, space.m_dim)),
-            label="tangent",
-        )
+    if ref is None:
+        return AlgebraRep(source=liealg.make_abelian(0),
+                          images=np.zeros((0, space.m_dim, space.m_dim)),
+                          label="tangent")
     return AlgebraRep(source=ref, images=space.ad_ref, label="tangent")
 
 
@@ -313,17 +297,14 @@ def product_space(a, b) -> SymmetricSpaceModel:
     metric = np.concatenate([a.metric_diag, b.metric_diag])
     ref_a, ref_b = a.isotropy_ref, b.isotropy_ref
     if ref_b is None or ref_b.dim == 0:
-        ref, h2r = ref_a, a.h_to_ref
+        ref = ref_a
     elif ref_a is None or ref_a.dim == 0:
-        ref, h2r = ref_b, b.h_to_ref
+        ref = ref_b
     else:
         ref = liealg.product_algebra(ref_a, ref_b)
-        h2r = ex.fzeros((a.h_dim + b.h_dim, ref.dim))
-        h2r[: a.h_dim, : ref_a.dim] = a.h_to_ref
-        h2r[a.h_dim :, ref_a.dim :] = b.h_to_ref
     return make_symmetric_space(
         g, h_idx, metric, f"{a.name}x{b.name}",
-        flat_dim=a.flat_dim + b.flat_dim, isotropy_ref=ref, h_to_ref=h2r,
+        flat_dim=a.flat_dim + b.flat_dim, isotropy_ref=ref,
     )
 
 
@@ -334,10 +315,8 @@ def sphere_model(n):
     m_count = n
     h_idx = tuple(range(m_count, g.dim))
     ref = liealg.make_so(n) if n >= 2 else liealg.make_abelian(0)
-    h2r = ex.feye(ref.dim)
-    return make_symmetric_space(
-        g, h_idx, [1] * m_count, f"S{n}", isotropy_ref=ref, h_to_ref=h2r,
-    )
+    return make_symmetric_space(g, h_idx, [1] * m_count, f"S{n}",
+                                isotropy_ref=ref)
 
 
 def _cp_basis(n):
@@ -377,19 +356,15 @@ def cp_model(n):
     g = liealg._from_matrices(f"su({n + 1})|cp", labels, mats, complex_n=n + 1)
     h_idx = tuple(range(2 * n, g.dim))
     base = g.inner_product[0, 0]  # uniform on m by construction
-    space = make_symmetric_space(
-        g, h_idx, [base] * (2 * n), f"CP{n}",
-        isotropy_ref=un, h_to_ref=ex.feye(un.dim),
-    )
+    space = make_symmetric_space(g, h_idx, [base] * (2 * n), f"CP{n}",
+                                 isotropy_ref=un)
     # rescale so that K(Z_1, W_1) = 4; sectional curvature scales as 1/c
     curv = curvature_operator(space)
     p = pair_index(2 * n).index((0, n))
     khol = curv.matrix[p, p]
     scale = khol / 4
-    return make_symmetric_space(
-        g, h_idx, [base * scale] * (2 * n), f"CP{n}",
-        isotropy_ref=un, h_to_ref=ex.feye(un.dim),
-    )
+    return make_symmetric_space(g, h_idx, [base * scale] * (2 * n), f"CP{n}",
+                                isotropy_ref=un)
 
 
 def group_model():
@@ -409,18 +384,14 @@ def group_model():
         labels.append(f"A{i + 1}")
     g = liealg.change_basis(g0, p, name="su(2)+su(2)|diag", labels=labels)
     metric = [g.inner_product[d + i, d + i] for i in range(d)]
-    return make_symmetric_space(
-        g, tuple(range(d)), metric, "SU2_group",
-        isotropy_ref=su2, h_to_ref=ex.feye(d),
-    )
+    return make_symmetric_space(g, tuple(range(d)), metric, "SU2_group",
+                                isotropy_ref=su2)
 
 
 def flat_model(n):
     g = liealg.make_abelian(n)
-    return make_symmetric_space(
-        g, (), [1] * n, f"R{n}", flat_dim=n,
-        isotropy_ref=liealg.make_abelian(0), h_to_ref=ex.fzeros((0, 0)),
-    )
+    return make_symmetric_space(g, (), [1] * n, f"R{n}", flat_dim=n,
+                                isotropy_ref=liealg.make_abelian(0))
 
 
 def rescale_metric(space, factor):
@@ -463,8 +434,8 @@ def catalog(name):
 
 
 def space_to_text(space):
-    """One text block; the isotropy algebra is embedded as its own
-    liealg.to_text block with every line prefixed by 'isotropy'."""
+    """One text block; the isotropy algebra, in h's basis, is embedded as
+    its own liealg.to_text block with every line prefixed by 'isotropy'."""
     lines = [liealg.to_text(space.g).rstrip()]
     lines.append(f"space {space.name}")
     lines.append("h_indices " + " ".join(str(i) for i in space.h_indices))
@@ -473,31 +444,43 @@ def space_to_text(space):
     if space.isotropy_ref is not None:
         lines += ["isotropy " + line
                   for line in liealg.to_text(space.isotropy_ref).splitlines()]
-        lines += [f"h_to_ref {i} {j} {v}"
-                  for (i, j), v in np.ndenumerate(space.h_to_ref) if v != 0]
     return "\n".join(lines) + "\n"
 
 
+def _check_algebra(alg):
+    report = liealg.validate(alg)
+    if not report.ok:
+        check, idx = report.witness
+        raise ValueError(f"algebra {alg.name} fails {check} at {idx}")
+
+
 def space_from_text(text):
+    """Parse a space_to_text block. The algebra, and the isotropy algebra
+    against h, are checked: ValueError names the first failure."""
     alg = liealg.from_text(text)
-    head, iso, h2r = {}, [], []
+    head, iso = {}, []
     for raw in text.splitlines():
         parts = raw.split()
         if parts[:1] == ["isotropy"]:
             iso.append(" ".join(parts[1:]))
-        elif parts[:1] == ["h_to_ref"]:
-            h2r.append((list(map(int, parts[1:-1])), Fraction(parts[-1])))
         elif parts:
             head[parts[0]] = parts[1:]
     if "space" not in head or "metric" not in head:
         raise ValueError("missing space header")
-    h_idx = tuple(int(v) for v in head.get("h_indices", ()))
+    _check_algebra(alg)
+    h = tuple(int(v) for v in head.get("h_indices", ()))
     ref = liealg.from_text("\n".join(iso)) if iso else None
-    h_to_ref = None if ref is None else ex.fzeros((len(h_idx), ref.dim))
-    for idx, v in liealg.checked_entries("h_to_ref", h2r if iso else (),
-                                         np.shape(h_to_ref)):
-        h_to_ref[idx] = v
     flat_dim = liealg.header_int(head, "flat_dim") if "flat_dim" in head else 0
-    return make_symmetric_space(
-        alg, h_idx, [Fraction(v) for v in head["metric"]], " ".join(head["space"]),
-        flat_dim=flat_dim, isotropy_ref=ref, h_to_ref=h_to_ref)
+    space = make_symmetric_space(
+        alg, h, [Fraction(v) for v in head["metric"]], " ".join(head["space"]),
+        flat_dim=flat_dim, isotropy_ref=ref)
+    if ref is not None:
+        if ref.dim != len(h):
+            raise ValueError(f"isotropy algebra {ref.name} has dimension "
+                             f"{ref.dim}, h has {len(h)}")
+        bad = np.argwhere(ref.structure != alg.structure[np.ix_(h, h, h)])
+        if len(bad):
+            raise ValueError(f"isotropy algebra {ref.name} differs from h at "
+                             f"{tuple(int(v) for v in bad[0])}")
+        _check_algebra(ref)
+    return space

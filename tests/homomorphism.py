@@ -25,7 +25,7 @@ def validate_homomorphism(rep) -> HomReport:
     im = rep.images
     i, j = np.triu_indices(rep.source.dim, 1)
     lhs = im[i] @ im[j] - im[j] @ im[i]
-    rhs = combine(rep.source.structure_float()[i, j], im)
+    rhs = combine(np.asarray(rep.source.structure, dtype=float)[i, j], im)
     bracket_err = float(np.abs(lhs - rhs).max(initial=0.0))
     skew_err = float(np.abs(im + im.transpose(0, 2, 1)).max(initial=0.0))
     jc_err = 0.0

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import symcurv
-from symcurv import cli
+from symcurv import _exact as ex
+from symcurv import cli, liealg
 from symcurv import symspace as ss
 
 
@@ -166,7 +167,6 @@ def test_config_roundtrip_under_new_name(tmp_path, capsys, name):
     back = ss.space_from_text(path.read_text())
     assert back.isotropy_ref.name == space.isotropy_ref.name
     assert back.isotropy_ref.complex_n == space.isotropy_ref.complex_n
-    assert np.array_equal(back.h_to_ref, space.h_to_ref)
     for cmd in (["info"], ["classify", "--rank", "3", "--weight-cap", "2"]):
         code, want = run(capsys, cmd[0], name, *cmd[1:])
         got = run(capsys, cmd[0], new, *cmd[1:], "--config", str(path))
@@ -301,8 +301,7 @@ def test_missing_config_file_is_a_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["c 0 1 5 1", "c 0 -1 2 1", "c 0 1 1",
-                                  "ip 0 3 1", "mat 0 0 9 1", "mat 3 0 0 1",
-                                  "h_to_ref 1 0 1"])
+                                  "ip 0 3 1", "mat 0 0 9 1", "mat 3 0 0 1"])
 def test_config_index_out_of_range_is_a_parse_error(tmp_path, capsys, line):
     text = ss.space_to_text(dataclasses.replace(ss.catalog("S2"), name="Bad"))
     path = tmp_path / "spaces.txt"
@@ -341,3 +340,74 @@ def test_charclasses_weight_mode_checks_rep_source(capsys):
     assert (code, err) == _run_err(capsys, "verify", "CP2", "su2:1")
     assert err == ("error: rep source 'su(2)' does not match isotropy "
                    "algebra 'u(2)' of CP2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "S2", "spin2:0"), ("verify", "SU2_group", "su2:-1"),
+    ("verify", "S4", "spin4:(-1,0)"), ("charclasses", "S2", "spin2:0"),
+])
+def test_out_of_range_rep_parameter_is_a_parse_error(capsys, argv):
+    code, err = _run_err(capsys, *argv)
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _config_err(tmp_path, capsys, text, name):
+    path = tmp_path / "spaces.txt"
+    path.write_text(text)
+    return _run_err(capsys, "info", name, "--config", str(path))
+
+
+def _renamed_text(name, new):
+    return ss.space_to_text(dataclasses.replace(ss.catalog(name), name=new))
+
+
+def test_config_algebra_failing_jacobi_is_a_parse_error(tmp_path, capsys):
+    text = _renamed_text("S3", "Bad")
+    assert "\nc 0 1 3 1\n" in text
+    code, err = _config_err(tmp_path, capsys,
+                            text.replace("\nc 0 1 3 1\n", "\nc 0 1 3 2\n"), "Bad")
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err == "error: algebra so(4) fails jacobi at (0, 1, 4)\n"
+
+
+def test_config_isotropy_failing_invariance_is_a_parse_error(tmp_path, capsys):
+    text = _renamed_text("S3", "Bad")
+    assert "\nisotropy ip 0 0 1\n" in text
+    code, err = _config_err(
+        tmp_path, capsys,
+        text.replace("\nisotropy ip 0 0 1\n", "\nisotropy ip 0 0 2\n"), "Bad")
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err == "error: algebra so(3) fails invariance at (1, 0, 2)\n"
+
+
+@pytest.mark.parametrize("swap, want", [
+    # an isotropy algebra of another dimension
+    (None, "error: isotropy algebra so(2) has dimension 1, h has 3\n"),
+    # the right algebra with two basis elements swapped
+    ([1, 0, 2], "error: isotropy algebra so(3) differs from h at (0, 1, 2)\n"),
+])
+def test_config_isotropy_not_matching_h_is_a_parse_error(tmp_path, capsys,
+                                                         swap, want):
+    s3 = ss.catalog("S3")
+    iso = (ss.catalog("S2").isotropy_ref if swap is None else
+           liealg.change_basis(s3.isotropy_ref, ex.feye(3)[swap]))
+    bad = dataclasses.replace(s3, name="Bad", isotropy_ref=iso)
+    code, err = _config_err(tmp_path, capsys, ss.space_to_text(bad), "Bad")
+    assert (code, err) == (cli.EXIT_PARSE_ERROR, want)
+
+
+def test_config_with_h_to_ref_lines_still_loads(tmp_path, capsys):
+    # files written before the isotropy algebra was stored in h's basis
+    # carry its coordinate map, always the identity, as h_to_ref lines
+    space = ss.catalog("CP2")
+    text = _renamed_text("CP2", "Old") + "".join(
+        f"h_to_ref {t} {t} 1\n" for t in range(space.h_dim))
+    path = tmp_path / "spaces.txt"
+    path.write_text(text)
+    assert "h_to_ref" not in _renamed_text("CP2", "Old")
+    for argv in (["info"], ["verify", "un_fund:1", "--samples", "50"],
+                 ["charclasses", "un_det:1"]):
+        code, want = run(capsys, argv[0], "CP2", *argv[1:])
+        got = run(capsys, argv[0], "Old", *argv[1:], "--config", str(path))
+        assert got == (code, want.replace('"CP2"', '"Old"')), argv

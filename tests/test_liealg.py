@@ -19,7 +19,7 @@ def _unit(dim, i):
 def _product(a, b):
     """Exact a @ b over the columns of a that are not all zero."""
     k = np.flatnonzero((a != 0).any(axis=0))
-    return ex.dot(a[:, k], b[k, :])
+    return np.dot(a[:, k], b[k, :])
 
 
 def _commutator(a, b):
@@ -208,3 +208,19 @@ def test_jacobi_witness_matches_triple_loop(scale):
     rep = liealg.validate(bad)
     assert not rep.jacobi_ok and rep.antisymmetry_ok
     assert rep.witness == ("jacobi", _reference_jacobi_witness(c))
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 3), Fraction(2**40, 5)])
+def test_invariance_witness_matches_fraction_product(scale):
+    # the larger scale puts the inner product's numerators on Python ints
+    so4 = liealg.make_so(4)
+    ip = so4.inner_product * scale
+    ip[2, 2] = 3 * scale  # still symmetric, but no longer ad-invariant
+    bad = liealg.LieAlgebraModel(
+        name="bad", dim=so4.dim, basis_labels=so4.basis_labels,
+        structure=so4.structure, inner_product=ip)
+    s = np.dot(bad.structure, ip)
+    want = tuple(int(v) for v in np.argwhere(s + s.transpose(0, 2, 1))[0])
+    rep = liealg.validate(bad)
+    assert rep.antisymmetry_ok and rep.jacobi_ok and not rep.invariance_ok
+    assert rep.witness == ("invariance", want)

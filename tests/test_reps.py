@@ -27,7 +27,7 @@ ALL_REPS = [
 
 def _validate_ref(rep):
     """The per-pair loops that validate_homomorphism replaced."""
-    c = rep.source.structure_float()
+    c = ex.to_float(rep.source.structure)
     d = rep.source.dim
     bracket_err = 0.0
     for i in range(d):
@@ -96,7 +96,7 @@ def test_su2_types():
 def test_su2_2_real_form_is_adjoint():
     real = reps.real_form(reps.su2_irrep(2))
     su2 = liealg.make_su(2)
-    c = su2.structure_float()
+    c = ex.to_float(su2.structure)
     adjoint = reps.AlgebraRep(
         su2, np.stack([c[i].T for i in range(3)]), label="ad")
     assert validate_homomorphism(adjoint).ok
@@ -144,8 +144,11 @@ def test_so4_split_constants():
             for b in range(3):
                 want = np.dot(su2.structure[a, b], m)
                 assert ex.is_zero(so4.bracket(m[a], m[b]) - want), (a, b)
-    # orthogonal images that together span so(4)
-    assert ex.is_zero(ex.dot(p * np.diag(so4.inner_product), q.T))
+    # orthogonal rows of squared norm 2, so spin4_irrep reads coordinates
+    # along the two ideals off p.T / 2 and q.T / 2; together they span so(4)
+    pq = np.concatenate([p, q])
+    gram = np.dot(pq * np.diag(so4.inner_product), pq.T)
+    assert ex.is_zero(gram - 2 * ex.feye(6))
     assert ex.rank(np.concatenate([p, q])) == so4.dim
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from symcurv import _exact as ex
-from symcurv import liealg
+from symcurv import liealg, reps
 from symcurv import symspace as ss
 from symcurv.linalg import EPS, bivector_coeffs_from_skew, pair_index
 
@@ -145,12 +145,11 @@ def _dense_reference(space):
     mat = ex.fzeros((len(pairs), len(pairs)))
     for p in range(len(pairs)):
         mat[:, p] = bivector_coeffs_from_skew(skew(hc[p]))
-    ref = space.isotropy_ref
-    if ref.dim == 0:
-        iso = np.zeros((0, len(m), len(m)))
-    else:
-        r2h = space.ref_to_h()
-        iso = np.stack([ex.to_float(skew(r2h[t])) for t in range(ref.dim)])
+    # the isotropy algebra is stored in h's basis: its coordinate map is
+    # the identity
+    eye = ex.feye(len(h))
+    iso = np.zeros((0, len(m), len(m))) if not h else np.stack(
+        [ex.to_float(skew(eye[t])) for t in range(len(h))])
     return mat, hc, iso
 
 
@@ -175,17 +174,48 @@ def test_sliced_curvature_matches_dense_path(name):
     assert np.array_equal(ss.isotropy_rep(space).images, iso)
 
 
-@pytest.mark.parametrize("name", [f"S{n}" for n in range(2, 9)]
-                         + [f"CP{n}" for n in (1, 2, 3)]
-                         + [f"R{n}" for n in range(1, 5)]
-                         + ["SU2_group", "S2xS3", "S2xR2", "CP3xCP3",
-                            "S4xS4xS4"])
+_ISOTROPY_SPACES = ([f"S{n}" for n in range(2, 9)]
+                    + [f"CP{n}" for n in (1, 2, 3)]
+                    + [f"R{n}" for n in range(1, 5)]
+                    + ["SU2_group", "S2xS3", "S2xR2", "CP3xCP3", "S4xS4xS4"])
+
+
+@pytest.mark.parametrize("name", _ISOTROPY_SPACES)
+def test_isotropy_algebra_is_h_in_its_basis(name):
+    space = ss.catalog(name)
+    h = space.h_indices
+    assert _same_fractions(space.isotropy_ref.structure,
+                           space.g.structure[np.ix_(h, h, h)])
+
+
+@pytest.mark.parametrize("name", _ISOTROPY_SPACES)
 def test_ad_ref_matches_fraction_tensordot(name):
     space = ss.catalog(name)
-    want = ex.to_float(np.tensordot(space.ref_to_h(), space.ad_h,
+    want = ex.to_float(np.tensordot(ex.feye(space.h_dim), space.ad_h,
                                     axes=(1, 0)))
     assert space.ad_ref.tobytes() == want.tobytes()
     assert space.ad_ref.shape == want.shape
+
+
+@pytest.mark.parametrize("a, b", [("S2", "S3"), ("S2", "R2"), ("R1", "S2"),
+                                  ("CP1", "S2"), ("SU2_group", "CP2"),
+                                  ("S4", "S3")])
+def test_product_of_catalog_spaces_is_blockwise(a, b):
+    sa, sb = ss.catalog(a), ss.catalog(b)
+    prod = ss.catalog(f"{a}x{b}")
+    want = reps.external_sum(ss.isotropy_rep(sa), ss.isotropy_rep(sb))
+    assert ss.isotropy_rep(prod).images.tobytes() == want.images.tobytes()
+    # R^M on the A-pairs and on the B-pairs is each factor's, zero elsewhere
+    na, nb = sa.m_dim, sb.m_dim
+    pairs = pair_index(na + nb)
+    blocks = [[p for p, (i, j) in enumerate(pairs) if j < na],
+              [p for p, (i, j) in enumerate(pairs) if i >= na]]
+    mat = ss.curvature_operator(prod).matrix.copy()
+    for rows, factor in zip(blocks, (sa, sb)):
+        assert _same_fractions(mat[np.ix_(rows, rows)],
+                               ss.curvature_operator(factor).matrix)
+        mat[np.ix_(rows, rows)] = ex.ZERO
+    assert ex.is_zero(mat)
 
 
 def test_curvature_operator_memoized_per_space():
@@ -210,7 +240,7 @@ def _reference_bracket_matrix(ker, img, n):
         ka = skew_from_bivector_coeffs(ker[:, a], n)
         for b in range(img.shape[1]):
             ib = skew_from_bivector_coeffs(img[:, b], n)
-            comm = ex.dot(ka, ib) - ex.dot(ib, ka)
+            comm = np.dot(ka, ib) - np.dot(ib, ka)
             cols.append(bivector_coeffs_from_skew(comm))
     return np.stack(cols, axis=1)
 
