@@ -193,6 +193,16 @@ def recover_rho_hat(space, blocks) -> RecoveredHom:
                         hom_residual=worst)
 
 
+def roundtrip_residual(bundle):
+    """max |rho_back - rho| for the rep recovered from the bundle's
+    curvature, or None when the reconstruction fails."""
+    try:
+        back = recover_rho_hat(bundle.space, bundle.blocks).as_rep()
+    except (BundleError, NotInImage):
+        return None
+    return float(np.abs(back.images - bundle.rep.images).max(initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # characteristic numbers
 
@@ -396,12 +406,18 @@ def _rep_type(rep):
 
 
 def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
-    """Enumerate parallel bundles of rank <= rank_bound up to equivalence;
-    the verification checks are judged against tol (default CHECK_TOL)."""
+    """Enumerate parallel bundles of rank <= rank_bound, one for each
+    multiset of catalog irreducibles; the verification checks are judged
+    against tol (default CHECK_TOL).
+
+    The pool is irreducible and pairwise inequivalent, and the isotropy reps
+    are orthogonal, so every sum splits uniquely into isotypic parts: two
+    different multisets never give equivalent bundles.
+    """
     tol = CHECK_TOL if tol is None else tol
     irreps = catalog_irreps(space, rank_bound, weight_cap=weight_cap)
+    reports = []
 
-    candidates = []  # (tuple of labels, rep)
     def extend(start, labels, rep, dim):
         for i in range(start, len(irreps)):
             lbl, r = irreps[i]
@@ -410,38 +426,23 @@ def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
                 continue
             combined = r if rep is None else rp.direct_sum(rep, r)
             nl = labels + (lbl,)
-            candidates.append((nl, combined))
+            bundle = induce(space, combined)
+            try:
+                char = characteristic_numbers(bundle)
+            except UnsupportedBase:
+                char = None
+            roundtrip = roundtrip_residual(bundle)
+            reports.append(BundleReport(
+                label=lbl if len(nl) == 1 else "sum(" + ",".join(nl) + ")",
+                rank=nd, rep_type=_rep_type(combined), components=nl,
+                char=char,
+                bracket_ok=check_bracket_identity(bundle, tol=tol).ok,
+                kernel_ok=check_kernel_inclusion(bundle, tol=tol).ok,
+                roundtrip_ok=roundtrip is not None and roundtrip <= tol,
+            ))
             extend(i, nl, combined, nd)
 
     extend(0, (), None, 0)
-
-    reports = []
-    kept_reps = []
-    for labels, rep in sorted(candidates,
-                              key=lambda c: (c[1].target_dim, c[0])):
-        if any(k.target_dim == rep.target_dim and rp.equivalent(k, rep)
-               for k in kept_reps):
-            continue
-        kept_reps.append(rep)
-        bundle = induce(space, rep)
-        try:
-            rec = recover_rho_hat(space, bundle.blocks)
-            back = rec.as_rep()
-            roundtrip = np.abs(back.images - rep.images).max(
-                initial=0.0) <= tol
-        except (BundleError, NotInImage):
-            roundtrip = False
-        try:
-            char = characteristic_numbers(bundle)
-        except UnsupportedBase:
-            char = None
-        label = labels[0] if len(labels) == 1 else "sum(" + ",".join(labels) + ")"
-        reports.append(BundleReport(
-            label=label, rank=rep.target_dim, rep_type=_rep_type(rep),
-            components=labels, char=char,
-            bracket_ok=check_bracket_identity(bundle, tol=tol).ok,
-            kernel_ok=check_kernel_inclusion(bundle, tol=tol).ok,
-            roundtrip_ok=bool(roundtrip),
-        ))
+    # labels are unique, so this order is total
     reports.sort(key=lambda r: (r.rank, r.label))
     return reports

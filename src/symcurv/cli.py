@@ -118,7 +118,7 @@ def parse_rep(desc, space):
         if desc.startswith(alias + ":"):
             param = desc[len(alias) + 1 :]
             if canon in ("det", "fund") and not param.startswith("("):
-                cn = space.isotropy_ref.complex_n
+                cn = getattr(space.isotropy_ref, "complex_n", None)
                 if cn is None:
                     raise rp.DescriptorError(
                         f"{alias}:k needs a CP^n base to infer n")
@@ -192,13 +192,8 @@ def cmd_verify(args):
     rand_worst = float(bn.bracket_residuals(bundle, ab[:, 0], ab[:, 1]).max())
     scale = max(1.0, float(np.abs(bundle.blocks).max(initial=0.0))) ** 2
     rand_ok = rand_worst <= tol * scale * 10
-    try:
-        rec = bn.recover_rho_hat(space, bundle.blocks)
-        back = rec.as_rep()
-        rt_resid = float(np.abs(back.images - rep.images).max(initial=0.0))
-        roundtrip_ok = rt_resid <= tol
-    except (bn.BundleError, bn.NotInImage) as e:
-        rt_resid, roundtrip_ok = None, False
+    rt_resid = bn.roundtrip_residual(bundle)
+    roundtrip_ok = rt_resid is not None and rt_resid <= tol
     irreducible = rp.is_irreducible(rep)
     schur = sb.schur_constancy_check(bundle, samples=args.samples,
                                      seed=args.seed)

@@ -26,9 +26,6 @@ FLOAT_EPS = float(np.finfo(float).eps)
 # only at gaps above SQRT_EPS * scale keep their eigenvectors, and the spans
 # and commutants built from them, accurate to about SQRT_EPS.
 SQRT_EPS = math.sqrt(FLOAT_EPS)
-# equivalent reps share their trace forms; a relative difference above this
-# rules equivalence out, and every nearer decision is left to the commutant
-TRACE_FORM_TOL = 1e-6
 
 
 def null_cut(shape, scale):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _exact as ex
 from . import liealg
-from .linalg import SQRT_EPS, TRACE_FORM_TOL, combine, null_cut
+from .linalg import SQRT_EPS, combine, null_cut
 
 
 class RepError(Exception):
@@ -409,12 +409,6 @@ def commutant_basis(rep):
     return q @ out @ q.T
 
 
-def _trace_form(rep):
-    """tr(rho(X_s) rho(X_t)) for every pair of basis elements s, t."""
-    a = rep.images
-    return a.reshape(len(a), -1) @ a.transpose(0, 2, 1).reshape(len(a), -1).T
-
-
 def equivalent(r1, r2):
     """True when an invertible intertwiner exists (orthogonal targets)."""
     if r1.target_dim != r2.target_dim:
@@ -424,11 +418,6 @@ def equivalent(r1, r2):
     n = r1.target_dim
     if r1.source.dim == 0:
         return True
-    # equivalent reps share the trace form tr(rho(X_s) rho(X_t))
-    g1, g2 = _trace_form(r1), _trace_form(r2)
-    scale = max(1.0, np.abs(g1).max(), np.abs(g2).max())
-    if np.abs(g1 - g2).max() > TRACE_FORM_TOL * scale:
-        return False
     # the commutant of r1 + r2 is the orthogonal sum of its four blocks, so
     # its lower-left block has singular values 1 on Hom(r1, r2) and 0 off it
     comm = commutant_basis(AlgebraRep(r1.source, _block_diag(r1.images, r2.images)))

@@ -296,10 +296,13 @@ def product_space(a, b) -> SymmetricSpaceModel:
     h_idx = tuple(a.h_indices) + tuple(i + a.g.dim for i in b.h_indices)
     metric = np.concatenate([a.metric_diag, b.metric_diag])
     ref_a, ref_b = a.isotropy_ref, b.isotropy_ref
-    if ref_b is None or ref_b.dim == 0:
+    # a factor with h but no isotropy algebra leaves the product without one
+    if b.h_dim == 0:
         ref = ref_a
-    elif ref_a is None or ref_a.dim == 0:
+    elif a.h_dim == 0:
         ref = ref_b
+    elif ref_a is None or ref_b is None:
+        ref = None
     else:
         ref = liealg.product_algebra(ref_a, ref_b)
     return make_symmetric_space(

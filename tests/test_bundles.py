@@ -452,12 +452,17 @@ def test_verify_random_residual_matches_loop(capsys):
             cli._round12(worst)
 
 
-def test_as_rep_without_isotropy_algebra(capsys):
-    s3 = ss.catalog("S3")
-    text = ss.space_to_text(dataclasses.replace(s3, name="S3bare"))
-    bare = ss.space_from_text("\n".join(
+def _bare_s3():
+    """S3 read from a config block without its isotropy algebra."""
+    text = ss.space_to_text(dataclasses.replace(ss.catalog("S3"), name="S3bare"))
+    return ss.space_from_text("\n".join(
         line for line in text.splitlines()
         if not line.startswith("isotropy")))
+
+
+def test_as_rep_without_isotropy_algebra(capsys):
+    s3 = ss.catalog("S3")
+    bare = _bare_s3()
     assert bare.isotropy_ref is None
     blocks = bn.induce(s3, ss.isotropy_rep(s3)).blocks
     back = bn.recover_rho_hat(bare, blocks).as_rep()
@@ -466,6 +471,17 @@ def test_as_rep_without_isotropy_algebra(capsys):
     assert cli.main(["verify", "R2", "trivial:2", "--samples", "5"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks["reconstruction_roundtrip"] == {"ok": True, "residual": 0.0}
+
+
+def test_product_with_a_factor_lacking_its_isotropy_algebra():
+    s2 = ss.catalog("S2")
+    for prod in (ss.product_space(_bare_s3(), s2),
+                 ss.product_space(s2, _bare_s3())):
+        assert prod.h_dim == 4 and prod.isotropy_ref is None
+        with pytest.raises(bn.SourceMismatch):
+            bn.induce(prod, reps.spin2_irrep(1))
+    # a flat factor has no h, so the other factor's algebra carries over
+    assert ss.catalog("S2xR2").isotropy_ref.name == "so(2)"
 
 
 def _outcome(fn, *args):

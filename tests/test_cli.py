@@ -362,6 +362,17 @@ def _renamed_text(name, new):
     return ss.space_to_text(dataclasses.replace(ss.catalog(name), name=new))
 
 
+@pytest.mark.parametrize("cmd", ["verify", "charclasses"])
+def test_alias_needs_an_isotropy_algebra(tmp_path, capsys, cmd):
+    text = _renamed_text("CP2", "CPx")
+    path = tmp_path / "spaces.txt"
+    path.write_text("".join(line for line in text.splitlines(keepends=True)
+                            if not line.startswith("isotropy")))
+    code, err = _run_err(capsys, cmd, "CPx", "un_det:1", "--config", str(path))
+    assert (code, err) == (cli.EXIT_PARSE_ERROR,
+                           "error: un_det:k needs a CP^n base to infer n\n")
+
+
 def test_config_algebra_failing_jacobi_is_a_parse_error(tmp_path, capsys):
     text = _renamed_text("S3", "Bad")
     assert "\nc 0 1 3 1\n" in text

@@ -291,16 +291,30 @@ def test_equivalent_matches_svd_only_path(monkeypatch):
         pool = _pool(name, rank)
         for r1, r2 in itertools.product(pool, pool):
             assert reps.equivalent(r1, r2) == _equivalent_ref(r1, r2)
-    # every pair classify_bundles compares, through the batched test
+    # every pair classify_bundles compares: only catalog_irreps calls the
+    # test, to drop pool members equivalent to one already kept
     equivalent, seen = reps.equivalent, []
 
     def checked(r1, r2):
         got = equivalent(r1, r2)
         assert got == _equivalent_ref(r1, r2), (r1.label, r2.label)
-        seen.append(got)
+        seen.append((r1.label, r2.label, got))
         return got
 
     monkeypatch.setattr(reps, "equivalent", checked)
     for name, rank in _POOLS:
         bn.classify_bundles(ss.catalog(name), rank)
-    assert True in seen and len(seen) > 1000
+    # the twisted fundamentals of u(2) pair up as fund:(2,k) = fund:(2,-1-k)
+    assert {(a, b) for a, b, got in seen if got} == {
+        (f"fund:(2,{k})", f"fund:(2,{-1 - k})") for k in range(6)}
+
+
+def test_catalog_pools_are_irreducible_and_inequivalent():
+    # classify_bundles lists one bundle per multiset of pool members, which
+    # counts each bundle once only because of this
+    for name, rank in _POOLS:
+        pool = _pool(name, rank)
+        for rep in pool:
+            reps.classify_type(rep)  # raises Reducible otherwise
+        for r1, r2 in itertools.combinations(pool, 2):
+            assert not _equivalent_ref(r1, r2), (r1.label, r2.label)
