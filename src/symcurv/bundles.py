@@ -344,7 +344,8 @@ _IRREP_CATALOG = {("so(2)", 2): "S2", ("so(3)", 3): "S3", ("so(4)", 4): "S4",
 
 
 def catalog_irreps(space, rank_bound, weight_cap=6):
-    """Irreducible candidates (descriptor, rep) with real rank <= rank_bound.
+    """Irreducible candidates (descriptor, rep) with real rank <= rank_bound,
+    pairwise inequivalent by construction.
 
     weight_cap bounds the circle weights k admitted for so(2) and u(1)/u(2)
     sources, where infinitely many irreps share each rank.
@@ -356,46 +357,32 @@ def catalog_irreps(space, rank_bound, weight_cap=6):
     if name is None:
         raise UnsupportedSpace(
             f"no irrep catalog for {space.name}; supported: S2 S3 S4 S5 CP1 CP2")
-    out = [("trivial:1", rp.trivial_rep(ref, 1))]
+    ks = range(1, weight_cap + 1)
     if name == "S2":
-        for k in range(1, weight_cap + 1):
-            if 2 <= rank_bound:
-                out.append((f"spin2:{k}", rp.spin2_irrep(k)))
+        pool = [rp.spin2_irrep(k) for k in ks]
     elif name == "S3":
-        cands = [("su2 adjoint", ss.isotropy_rep(space).relabel("so3-fund")),
-                 ("spinor:3", rp.spin_fundamental(3)),
-                 ("sym2", rp.sym2_traceless(ss.isotropy_rep(space)))]
-        out += [(r.label, r) for _, r in cands if r.target_dim <= rank_bound]
+        tangent = ss.isotropy_rep(space)
+        pool = [tangent.relabel("so3-fund"), rp.spin_fundamental(3),
+                rp.sym2_traceless(tangent)]
     elif name == "S4":
-        for k1 in range(rank_bound + 1):
-            for k2 in range(rank_bound + 1):
-                if k1 == k2 == 0:
-                    continue
-                cdim = (k1 + 1) * (k2 + 1)
-                rdim = cdim if (k1 + k2) % 2 == 0 else 2 * cdim
-                if rdim <= rank_bound:
-                    out.append((f"spin4:({k1},{k2})", rp.spin4_irrep(k1, k2)))
+        # complex dimension (k1+1)(k2+1), realified when k1 + k2 is odd
+        pool = [rp.spin4_irrep(k1, k2) for k1 in range(rank_bound + 1)
+                for k2 in range(rank_bound + 1) if k1 + k2 and
+                (k1 + 1) * (k2 + 1) * (1 + (k1 + k2) % 2) <= rank_bound]
     elif name == "S5":
-        cands = [ss.isotropy_rep(space).relabel("so5-fund"),
-                 rp.spin_fundamental(5)]
-        out += [(r.label, r) for r in cands if r.target_dim <= rank_bound]
+        pool = [ss.isotropy_rep(space).relabel("so5-fund"),
+                rp.spin_fundamental(5)]
     elif name == "CP1":
-        for k in range(1, weight_cap + 1):
-            if 2 <= rank_bound:
-                out.append((f"det:(1,{k})", rp.un_det_power(1, k)))
+        pool = [rp.un_det_power(1, k) for k in ks]
     else:  # CP2
-        for k in range(1, weight_cap + 1):
-            if 2 <= rank_bound:
-                out.append((f"det:(2,{k})", rp.un_det_power(2, k)))
-        for k in range(-weight_cap, weight_cap + 1):
-            if 4 <= rank_bound:
-                out.append((f"fund:(2,{k})", rp.un_fundamental_twist(2, k)))
-    # drop equivalent duplicates among the irreducibles themselves
-    kept = []
-    for lbl, r in out:
-        if not any(rp.equivalent(r, r2) for _, r2 in kept):
-            kept.append((lbl, r))
-    return kept
+        # fund:(2,k) and fund:(2,-1-k) are complex conjugates, hence equal
+        # as real reps: k < 0 and k = cap cover -cap..cap once each
+        pool = [rp.un_det_power(2, k) for k in ks] + [
+            rp.un_fundamental_twist(2, k)
+            for k in range(-weight_cap, weight_cap + 1)
+            if k < 0 or k == weight_cap]
+    return [("trivial:1", rp.trivial_rep(ref, 1))] + [
+        (r.label, r) for r in pool if r.target_dim <= rank_bound]
 
 
 def _rep_type(rep):
@@ -412,10 +399,12 @@ def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
 
     The pool is irreducible and pairwise inequivalent, and the isotropy reps
     are orthogonal, so every sum splits uniquely into isotypic parts: two
-    different multisets never give equivalent bundles.
+    different multisets never give equivalent bundles. So each member is
+    typed once, and a sum of two or more is reducible.
     """
     tol = CHECK_TOL if tol is None else tol
     irreps = catalog_irreps(space, rank_bound, weight_cap=weight_cap)
+    kinds = [_rep_type(r) for _, r in irreps]
     reports = []
 
     def extend(start, labels, rep, dim):
@@ -434,8 +423,8 @@ def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
             roundtrip = roundtrip_residual(bundle)
             reports.append(BundleReport(
                 label=lbl if len(nl) == 1 else "sum(" + ",".join(nl) + ")",
-                rank=nd, rep_type=_rep_type(combined), components=nl,
-                char=char,
+                rank=nd, rep_type=kinds[i] if rep is None else "reducible",
+                components=nl, char=char,
                 bracket_ok=check_bracket_identity(bundle, tol=tol).ok,
                 kernel_ok=check_kernel_inclusion(bundle, tol=tol).ok,
                 roundtrip_ok=roundtrip is not None and roundtrip <= tol,

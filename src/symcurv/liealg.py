@@ -5,6 +5,7 @@ stored as the real matrix [[X, -Y], [Y, X]]. The invariant inner product
 is <A, B> = tr(A^T B) / 2 on the chosen matrix realization.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,13 +23,6 @@ class LieAlgebraModel:
     inner_product: np.ndarray  # (dim, dim) Fractions, Ad-invariant, positive definite
     matrices: tuple | None = None  # optional matrix realization (realified for complex)
     complex_n: int | None = None  # if realified: matrices are 2n x 2n real
-
-    def bracket(self, v, w):
-        """Bracket of coefficient vectors, via the structure constants."""
-        v = np.asarray(v, dtype=object)
-        w = np.asarray(w, dtype=object)
-        t = np.tensordot(v, self.structure, axes=(0, 0))
-        return np.tensordot(w, t, axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -230,32 +224,47 @@ def validate(alg) -> ValidationReport:
     c, _ = ex.scale_to_int(alg.structure, degree=2, terms=3 * d)
     ip, _ = ex.scale_to_int(alg.inner_product, degree=2, terms=3 * d)
     anti = np.argwhere((c + c.transpose(1, 0, 2)).any(axis=-1))
-    total = _jacobi_total(c)
+    jac = _jacobi_failures(c)
     s = c @ ip  # s[i, j, k] = <[X_i, X_j], X_k>, scaled
     inv = np.argwhere(s + s.transpose(0, 2, 1))
     witness = None
     if len(anti):
         witness = ("antisymmetry", tuple(int(v) for v in anti[0]))
-    elif total.any():
-        witness = ("jacobi", _jacobi_witness(total))
+    elif len(jac):
+        witness = ("jacobi", tuple(int(v) for v in jac[0]))
     elif len(inv):
         witness = ("invariance", tuple(int(v) for v in inv[0]))
-    return ValidationReport(not len(anti), not total.any(), not len(inv), witness)
+    return ValidationReport(not len(anti), not len(jac), not len(inv), witness)
 
 
-def _jacobi_total(c):
-    """J[i, j, k] = [[X_i, X_j], X_k] + cyclic, from scaled-integer
-    structure constants c."""
-    t = np.einsum("ijm,mkl->ijkl", c, c)
-    return t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
+def _jacobi_failures(c):
+    """Triples i < j < k, in lexicographic order, at which
+    J = [[X_i, X_j], X_k] + cyclic is nonzero, from scaled-integer
+    structure constants c.
 
-
-def _jacobi_witness(total):
-    """First failing (i, j, k) with i < j < k, or None."""
-    for i, j, k in np.argwhere(total.any(axis=-1)):
-        if i < j < k:
-            return (int(i), int(j), int(k))
-    return None
+    A product c[a, b, m] c[m, e, l] is a term of J at (a, b, e) and at its
+    cyclic rotations, one of which is sorted when (a, b, e) is an even
+    ordering of distinct indices; only nonzero constants are multiplied.
+    When c is antisymmetric, J is totally antisymmetric, so these triples
+    decide Jacobi as the full (d, d, d, d) tensor would.
+    """
+    d = len(c)
+    trip = np.array(list(itertools.combinations(range(d), 3)),
+                    dtype=np.intp).reshape(-1, 3)
+    # index of the sorted triple each even ordering rotates to, else -1
+    tri = np.full((d, d, d), -1)
+    for rot in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        tri[tuple(trip[:, rot].T)] = np.arange(len(trip))
+    acc = np.zeros((len(trip), d), dtype=c.dtype)
+    nz = np.argwhere(c)  # rows (a, b, m)
+    vals = c[tuple(nz.T)]
+    for m in range(d):
+        into, out = nz[:, 2] == m, nz[:, 0] == m
+        t = tri[nz[into, 0, None], nz[into, 1, None], nz[out, 1]]
+        keep = t >= 0
+        np.add.at(acc, (t[keep], np.broadcast_to(nz[out, 2], t.shape)[keep]),
+                  np.multiply.outer(vals[into], vals[out])[keep])
+    return trip[acc.any(axis=1)]
 
 
 def to_text(alg):

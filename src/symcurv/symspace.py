@@ -237,9 +237,10 @@ def condition_a(space) -> ConditionAReport:
     holds = dim_span == dim_ker
     witness = None
     if not holds:
-        # kernel vector orthogonal to the bracket span
+        # kernel vector orthogonal to the bracket span, which B's top
+        # dim_span left singular vectors span (a QR of a wide B spans R^N)
         kf = ex.to_float(ker)
-        q, _ = np.linalg.qr(ex.to_float(bmat))
+        q = np.linalg.svd(ex.to_float(bmat), full_matrices=False)[0][:, :dim_span]
         resid = kf - q @ (q.T @ kf)
         col = int(np.argmax(np.linalg.norm(resid, axis=0)))
         w = resid[:, col]

@@ -1,4 +1,5 @@
-"""Homomorphism check for the representations the tests build.
+"""Homomorphism check for the representations the tests build, and the
+bracket of coefficient vectors in a Lie algebra model.
 
 The tests import it as a sibling module: pytest puts this directory on
 sys.path because it has no __init__.py.
@@ -17,6 +18,12 @@ class HomReport:
     max_bracket_error: float
     max_skew_error: float
     max_jc_error: float
+
+
+def bracket(alg, v, w):
+    """[v, w] for coefficient vectors v, w, via alg's structure constants."""
+    t = np.tensordot(np.asarray(v, dtype=object), alg.structure, axes=(0, 0))
+    return np.tensordot(np.asarray(w, dtype=object), t, axes=(0, 0))
 
 
 def validate_homomorphism(rep) -> HomReport:

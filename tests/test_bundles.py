@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from symcurv import _exact as ex
 from symcurv import bundles as bn
-from symcurv import cli
+from symcurv import cli, liealg
 from symcurv import reps
 from symcurv import symspace as ss
 from symcurv.linalg import (
@@ -203,6 +203,54 @@ def test_metric_rescaling(c):
         got = bn.characteristic_numbers(
             bn.induce(ss.rescale_metric(space, c), rep)).to_dict()
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (name, c)
+
+
+def _rotated_frame(space, skew):
+    """Cayley rotation Q = (I - A)(I + A)^-1 of A, skew with upper entries
+    skew, and the space whose m basis is rotated by Q (h is kept)."""
+    n = space.m_dim
+    a = ex.fzeros((n, n))
+    for v, (i, j) in zip(skew, pair_index(n)):
+        a[i, j], a[j, i] = v, -v
+    eye = ex.feye(n)
+    q = np.dot(eye - a, ex.inverse(eye + a))
+    p = ex.feye(space.g.dim)
+    p[np.ix_(space.m_indices, space.m_indices)] = q
+    rotated = ss.make_symmetric_space(
+        liealg.change_basis(space.g, p), space.h_indices, space.metric_diag,
+        space.name, flat_dim=space.flat_dim, isotropy_ref=space.isotropy_ref)
+    return q, rotated
+
+
+@settings(max_examples=2, deadline=None)
+@given(skew=st.lists(st.fractions(-2, 2, max_denominator=3), min_size=6,
+                     max_size=6))
+def test_frame_change(skew):
+    # an orthonormal change of the m-frame conjugates R^M by Lambda^2 Q and
+    # changes nothing the paper derives from it (the metrics are uniform)
+    for name in ("CP2", "S3", "S4"):
+        space = ss.catalog(name)
+        q, rotated = _rotated_frame(space, skew)
+        pairs = pair_index(space.m_dim)
+        lam2 = ex.farray([[q[a, c] * q[b, d] - q[a, d] * q[b, c]
+                           for c, d in pairs] for a, b in pairs])
+        curv = ss.curvature_operator(space)
+        got = ss.curvature_operator(rotated)
+        assert ex.is_zero(got.matrix - np.dot(np.dot(lam2, curv.matrix),
+                                               lam2.T)), name
+        lams, mults = zip(*curv.spectrum())
+        got_lams, got_mults = zip(*got.spectrum())
+        assert got_mults == mults, name
+        assert np.allclose(got_lams, lams, rtol=1e-12, atol=0.0), name
+        want = ss.condition_a(space)
+        report = ss.condition_a(rotated)
+        assert (report.holds, report.dim_kernel, report.dim_span_bracket) == \
+            (want.holds, want.dim_kernel, want.dim_span_bracket), name
+        if name == "S4":  # the one supported base of the three
+            rep = reps.spin4_irrep(1, 0)
+            want = bn.characteristic_numbers(bn.induce(space, rep)).to_dict()
+            got = bn.characteristic_numbers(bn.induce(rotated, rep)).to_dict()
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_char_additivity():

@@ -212,15 +212,15 @@ def test_bad_tol_flag_is_a_parse_error(capsys, value):
     assert capsys.readouterr().err == "error: tolerance must be positive\n"
 
 
-def _env_with_tol(value):
+def _env(**extra):
     src = os.path.dirname(os.path.dirname(symcurv.__file__))
-    return dict(os.environ, SYMCURV_TOL=value, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_bad_symcurv_tol_is_a_parse_error(value):
-    env = _env_with_tol(value)
+    env = _env(SYMCURV_TOL=value)
     imp = subprocess.run([sys.executable, "-c", "import symcurv"], env=env,
                          capture_output=True, text=True)
     assert imp.returncode == 0, imp.stderr
@@ -237,7 +237,7 @@ def test_symcurv_tol_moves_every_verify_check():
     # above the 10 * SYMCURV_TOL bound every verify check is judged against
     res = subprocess.run([sys.executable, "-m", "symcurv.cli", "verify", "S4",
                           "spin4:(1,0)", "--samples", "10"],
-                         env=_env_with_tol("1e-20"), capture_output=True,
+                         env=_env(SYMCURV_TOL="1e-20"), capture_output=True,
                          text=True)
     assert res.returncode == cli.EXIT_CHECK_FAILED, res.stderr
     checks = json.loads(res.stdout)["checks"]
@@ -248,13 +248,23 @@ def test_symcurv_tol_moves_every_verify_check():
     assert schur["irreducible"] and schur["status"] == "fail"
 
 
+def test_info_where_condition_a_fails_writes_no_warning(capsys):
+    # S3xR2 fails Condition A with more bracket columns than bivectors, where
+    # a QR basis of the bracket span would leave a zero witness to normalize
+    _, want = run(capsys, "info", "S3xR2")
+    res = subprocess.run([sys.executable, "-m", "symcurv.cli", "info", "S3xR2"],
+                         env=_env(), capture_output=True, text=True)
+    assert res.returncode == cli.EXIT_OK
+    assert res.stdout == want and res.stderr == ""
+
+
 @pytest.mark.parametrize("space", ["CP2", "CP3"])
 def test_tiny_symcurv_tol_leaves_info_unchanged(capsys, space):
     # info judges no residual: its spectrum is clustered at a gap set by
     # float64 precision, which a tolerance below rounding does not move
     _, want = run(capsys, "info", space)
     res = subprocess.run([sys.executable, "-m", "symcurv.cli", "info", space],
-                         env=_env_with_tol("1e-20"), capture_output=True,
+                         env=_env(SYMCURV_TOL="1e-20"), capture_output=True,
                          text=True)
     assert res.returncode == cli.EXIT_OK, res.stderr
     assert res.stdout == want and res.stderr == ""
@@ -265,7 +275,7 @@ def test_tiny_symcurv_tol_still_builds_real_forms():
     # below rounding fails the checks it judges, not the construction
     res = subprocess.run([sys.executable, "-m", "symcurv.cli", "verify", "S4",
                           "spin4:(2,0)", "--samples", "10"],
-                         env=_env_with_tol("1e-20"), capture_output=True,
+                         env=_env(SYMCURV_TOL="1e-20"), capture_output=True,
                          text=True)
     assert res.returncode == cli.EXIT_CHECK_FAILED and res.stderr == ""
     assert json.loads(res.stdout)["checks"]["schur_constancy"]["irreducible"]
@@ -276,7 +286,7 @@ def test_verify_spinor8_peak_memory():
     # system and about 985 MB
     proc = subprocess.Popen([sys.executable, "-m", "symcurv.cli", "verify",
                              "S8", "spinor:8", "--samples", "10"],
-                            env=_env_with_tol("1e-9"),  # the default
+                            env=_env(SYMCURV_TOL="1e-9"),  # the default
                             stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     out, err = proc.stdout.read(), proc.stderr.read()

@@ -1,5 +1,6 @@
 """Exact Lie algebra models."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from symcurv import _exact as ex
 from symcurv import liealg
 from symcurv import symspace as ss
+
+from homomorphism import bracket
 
 
 def _unit(dim, i):
@@ -86,7 +89,7 @@ def test_product_algebra():
     assert p.name == "so(3)+su(2)"
     assert liealg.validate(p).ok
     # cross brackets vanish
-    assert ex.is_zero(p.bracket(_unit(6, 0), _unit(6, 4)))
+    assert ex.is_zero(bracket(p, _unit(6, 0), _unit(6, 4)))
 
 
 def test_change_basis():
@@ -208,6 +211,35 @@ def test_jacobi_witness_matches_triple_loop(scale):
     rep = liealg.validate(bad)
     assert not rep.jacobi_ok and rep.antisymmetry_ok
     assert rep.witness == ("jacobi", _reference_jacobi_witness(c))
+
+
+def _dense_jacobi(c):
+    """The full (d, d, d, d) Jacobi tensor that the sorted triples replaced."""
+    t = np.einsum("ijm,mkl->ijkl", c, c)
+    return t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
+
+
+@pytest.mark.parametrize("alg", [liealg.make_so(4), liealg.make_su(3),
+                                 liealg.make_u(2)])
+def test_jacobi_matches_dense_tensor(alg):
+    # antisymmetric corruptions: the verdict and the first failing sorted
+    # triple agree with the full tensor
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        c = alg.structure.copy()
+        for i, j, k in rng.integers(0, alg.dim, (2, 3)):
+            v = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+            c[i, j, k], c[j, i, k] = v, -v
+        rep = liealg.validate(dataclasses.replace(alg, structure=c))
+        if not rep.antisymmetry_ok:
+            continue
+        num, _ = ex.scale_to_int(c, degree=2, terms=3 * alg.dim)
+        fails = [tuple(int(v) for v in t)
+                 for t in np.argwhere(_dense_jacobi(num).any(axis=-1))
+                 if t[0] < t[1] < t[2]]
+        assert rep.jacobi_ok == (not fails)
+        if fails:
+            assert rep.witness == ("jacobi", fails[0])
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 3), Fraction(2**40, 5)])

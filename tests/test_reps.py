@@ -11,7 +11,7 @@ from symcurv import liealg, reps
 from symcurv import symspace as ss
 from symcurv.linalg import EPS
 
-from homomorphism import validate_homomorphism
+from homomorphism import bracket, validate_homomorphism
 
 ALL_REPS = [
     reps.spin2_irrep(1), reps.spin2_irrep(2), reps.spin2_irrep(-3),
@@ -143,7 +143,7 @@ def test_so4_split_constants():
         for a in range(3):
             for b in range(3):
                 want = np.dot(su2.structure[a, b], m)
-                assert ex.is_zero(so4.bracket(m[a], m[b]) - want), (a, b)
+                assert ex.is_zero(bracket(so4, m[a], m[b]) - want), (a, b)
     # orthogonal rows of squared norm 2, so spin4_irrep reads coordinates
     # along the two ideals off p.T / 2 and q.T / 2; together they span so(4)
     pq = np.concatenate([p, q])
@@ -286,27 +286,40 @@ def test_spinor8_commutant():
     assert np.abs(flat @ flat.T - np.eye(8)).max() <= 1e-12
 
 
-def test_equivalent_matches_svd_only_path(monkeypatch):
+def test_equivalent_matches_svd_only_path():
     for name, rank in _POOLS:
         pool = _pool(name, rank)
         for r1, r2 in itertools.product(pool, pool):
             assert reps.equivalent(r1, r2) == _equivalent_ref(r1, r2)
-    # every pair classify_bundles compares: only catalog_irreps calls the
-    # test, to drop pool members equivalent to one already kept
-    equivalent, seen = reps.equivalent, []
+    # the CP2 pool leaves out the twisted fundamentals of u(2) with k >= 0
+    # below the cap, because fund:(2,k) = fund:(2,-1-k) as real reps
+    for k in range(6):
+        assert _equivalent_ref(reps.un_fundamental_twist(2, k),
+                               reps.un_fundamental_twist(2, -1 - k)), k
 
-    def checked(r1, r2):
-        got = equivalent(r1, r2)
-        assert got == _equivalent_ref(r1, r2), (r1.label, r2.label)
-        seen.append((r1.label, r2.label, got))
-        return got
 
-    monkeypatch.setattr(reps, "equivalent", checked)
+def test_classify_types_each_pool_member_once(monkeypatch):
+    # the pool is inequivalent by construction and every sum of two or more
+    # members is reducible, so classify needs neither test on a sum
+    calls = {"equivalent": 0, "classify_type": []}
+    equivalent, classify_type = reps.equivalent, reps.classify_type
+
+    def counted_equivalent(r1, r2):
+        calls["equivalent"] += 1
+        return equivalent(r1, r2)
+
+    def counted_classify_type(rep):
+        calls["classify_type"].append(rep.label)
+        return classify_type(rep)
+
+    monkeypatch.setattr(reps, "equivalent", counted_equivalent)
+    monkeypatch.setattr(reps, "classify_type", counted_classify_type)
     for name, rank in _POOLS:
+        pool = [r.label for r in _pool(name, rank)]
+        calls["classify_type"].clear()
         bn.classify_bundles(ss.catalog(name), rank)
-    # the twisted fundamentals of u(2) pair up as fund:(2,k) = fund:(2,-1-k)
-    assert {(a, b) for a, b, got in seen if got} == {
-        (f"fund:(2,{k})", f"fund:(2,{-1 - k})") for k in range(6)}
+        assert calls["classify_type"] == pool, name
+    assert calls["equivalent"] == 0
 
 
 def test_catalog_pools_are_irreducible_and_inequivalent():

@@ -11,7 +11,7 @@ from symcurv import liealg, reps
 from symcurv import symspace as ss
 from symcurv.linalg import EPS, bivector_coeffs_from_skew, pair_index
 
-from homomorphism import validate_homomorphism
+from homomorphism import bracket, validate_homomorphism
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -56,6 +56,23 @@ def test_condition_a_table():
     for name in fails:
         rep = ss.condition_a(ss.catalog(name))
         assert not rep.holds and rep.witness is not None, name
+
+
+@pytest.mark.parametrize("name", ["S3xR2", "S8xR4", "S4xR1xR1", "CP2xR2",
+                                  "S2xR2", "R2"])
+def test_condition_a_witness_is_a_kernel_vector_off_the_bracket_span(name):
+    # the first four have more bracket columns than bivectors
+    space = ss.catalog(name)
+    curv = ss.curvature_operator(space)
+    rep = ss.condition_a(space)
+    w = rep.witness
+    assert not rep.holds and np.all(np.isfinite(w))
+    assert abs(np.linalg.norm(w) - 1) <= 1e-12
+    assert np.abs(curv.float_matrix @ w).max() <= 1e-12
+    if curv.image_basis.shape[1]:
+        bmat = ex.to_float(ss._bracket_matrix(curv.kernel_basis,
+                                              curv.image_basis, space.m_dim))
+        assert np.abs(bmat.T @ w).max() <= 1e-12 * np.abs(bmat).max()
 
 
 def test_product_space_structure():
@@ -113,7 +130,7 @@ def test_isotropy_rep_is_homomorphism():
 
 
 def _dense_reference(space):
-    """The dense path R^M was first built with: g.bracket on m basis
+    """The dense path R^M was first built with: brackets in g of m basis
     vectors, then one curvature column per bivector. Returns
     (matrix, h_coeff, isotropy images of the reference basis)."""
     g, m, h, d = space.g, space.m_indices, space.h_indices, space.metric_diag
@@ -129,7 +146,7 @@ def _dense_reference(space):
             hvec[gi] = h_coeffs[t]
         out = ex.fzeros((len(m), len(m)))
         for c, gc in enumerate(m):
-            br = g.bracket(hvec, unit(gc))
+            br = bracket(g, hvec, unit(gc))
             for e, ge in enumerate(m):
                 if br[ge] != 0:
                     out[e, c] = br[ge] * ex.fsqrt(d[e] / d[c])
@@ -138,7 +155,7 @@ def _dense_reference(space):
     pairs = pair_index(len(m))
     hc = ex.fzeros((len(pairs), len(h)))
     for p, (a, b) in enumerate(pairs):
-        br = g.bracket(unit(m[a]), unit(m[b]))
+        br = bracket(g, unit(m[a]), unit(m[b]))
         scale = ex.fsqrt(Fraction(1) / (d[a] * d[b]))
         for t, gi in enumerate(h):
             hc[p, t] = br[gi] * scale
@@ -257,7 +274,7 @@ def _reference_condition_a(space):
     bmat = _reference_bracket_matrix(ker, img, space.m_dim)
     dim_span = ex.rank(bmat)
     kf = ex.to_float(ker)
-    q, _ = np.linalg.qr(ex.to_float(bmat))
+    q = np.linalg.svd(ex.to_float(bmat), full_matrices=False)[0][:, :dim_span]
     return dim_span == ker.shape[1], dim_span, kf - q @ (q.T @ kf)
 
 
