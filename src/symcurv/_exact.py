@@ -5,8 +5,8 @@ are tiny (dims <= ~40), so plain Gaussian elimination is fine and keeps
 every rank/kernel computation exact. Bulk products (structure constants,
 the curvature operator, Condition A brackets) run on scaled integers
 instead: scale_to_int writes an array as integer numerators over one
-common denominator, the caller multiplies those with einsum, and
-from_scaled_int turns the result back into Fractions.
+common denominator, the caller multiplies those (matrix products with
+int_matmul), and from_scaled_int turns the result back into Fractions.
 """
 
 import math
@@ -54,9 +54,8 @@ def scale_to_int(a, degree=1, terms=1):
     denominator of the entries.
 
     num is int64 when every sum of `terms` products of `degree` entries of
-    num fits in int64, which is the caller's bound for the einsum it runs
-    on num; otherwise num holds Python ints (dtype=object), on which the
-    same einsum stays exact.
+    num fits in int64, the caller's bound for a product that is not an
+    int_matmul; otherwise num holds Python ints (dtype=object).
     """
     a = np.asarray(a, dtype=object)
     flat = [frac(v) for v in a.reshape(-1)]
@@ -65,6 +64,17 @@ def scale_to_int(a, degree=1, terms=1):
     big = max(map(abs, num), default=0)
     dtype = np.int64 if terms * big**degree < 2**63 else object
     return np.array(num, dtype=dtype).reshape(a.shape), den
+
+
+def int_matmul(a, b):
+    """a @ b, exactly, for integer arrays (int64 or Python ints). Below the
+    bound, every entry, product and partial sum is an integer under 2**53,
+    which float64 (BLAS) sums exactly in any order; the max(1, .) keeps each
+    operand convertible when the other is all zero."""
+    big_a, big_b = (max(1, int(np.abs(x).max(initial=0))) for x in (a, b))
+    if a.shape[-1] * big_a * big_b < 2**53:
+        return (a.astype(float) @ b.astype(float)).astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
 
 def from_scaled_int(num, den):
@@ -111,9 +121,6 @@ def _rref(m):
 
 
 def rank(m):
-    m = np.asarray(m, dtype=object)
-    if m.size == 0:
-        return 0
     return len(_rref(m)[1])
 
 
@@ -133,11 +140,7 @@ def nullspace(m):
 
 def column_space(m):
     """Indices of a maximal independent subset of columns of m."""
-    m = np.asarray(m, dtype=object)
-    if m.size == 0:
-        return []
-    _, pivots = _rref(m)
-    return pivots
+    return _rref(m)[1]
 
 
 def solve(a, b):

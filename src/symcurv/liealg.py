@@ -5,7 +5,7 @@ stored as the real matrix [[X, -Y], [Y, X]]. The invariant inner product
 is <A, B> = tr(A^T B) / 2 on the chosen matrix realization.
 """
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,11 +52,8 @@ def _structure_from_matrices(mats):
     comm = prod - prod.transpose(1, 0, 2, 3)
     gram = np.einsum("iab,jab->ij", m, m)
     rhs = np.einsum("kab,ijab->ijk", m, comm)
-    # each coefficient sums len(mats) products inv[k, l] * rhs[i, j, l]
-    big = int(np.abs(rhs).max(initial=0))
-    inv, inv_den = ex.scale_to_int(ex.inverse(ex.farray(gram.tolist())),
-                                   terms=len(mats) * big)
-    c = ex.from_scaled_int(rhs @ inv.T, den * inv_den)
+    inv, inv_den = ex.scale_to_int(ex.inverse(ex.farray(gram.tolist())))
+    c = ex.from_scaled_int(ex.int_matmul(rhs, inv.T), den * inv_den)
     return c, ex.from_scaled_int(gram, 2 * den * den)
 
 
@@ -196,8 +193,10 @@ def change_basis(alg, p, name=None, labels=None):
     p = np.asarray(p, dtype=object)
     pinv = ex.inverse(p)
     d = alg.dim
-    # [Y_i, Y_j] = sum p[i, a] p[j, b] c[a, b, l] X_l, and X_l = sum pinv[l, k] Y_k
-    c = np.einsum("ijl,lk->ijk", np.einsum("ia,jb,abl->ijl", p, p, alg.structure), pinv)
+    # [Y_i, Y_j] = sum p[i, a] p[j, b] c[a, b, l] X_l, and X_l = sum pinv[l, k] Y_k,
+    # contracted one index at a time
+    c = np.einsum("jb,ibl->ijl", p, np.einsum("ia,abl->ibl", p, alg.structure))
+    c = np.einsum("ijl,lk->ijk", c, pinv)
     ip = np.dot(np.dot(p, alg.inner_product), p.T)
     mats = None
     if alg.matrices is not None:
@@ -220,12 +219,11 @@ def validate(alg) -> ValidationReport:
     scaled integers. Each check is homogeneous in the structure constants
     and in the inner product, so a common denominator does not change its
     zeros."""
-    d = alg.dim
-    c, _ = ex.scale_to_int(alg.structure, degree=2, terms=3 * d)
-    ip, _ = ex.scale_to_int(alg.inner_product, degree=2, terms=3 * d)
+    c, _ = ex.scale_to_int(alg.structure, degree=2, terms=3 * alg.dim)
+    ip, _ = ex.scale_to_int(alg.inner_product)
     anti = np.argwhere((c + c.transpose(1, 0, 2)).any(axis=-1))
     jac = _jacobi_failures(c)
-    s = c @ ip  # s[i, j, k] = <[X_i, X_j], X_k>, scaled
+    s = ex.int_matmul(c, ip)  # s[i, j, k] = <[X_i, X_j], X_k>, scaled
     inv = np.argwhere(s + s.transpose(0, 2, 1))
     witness = None
     if len(anti):
@@ -244,27 +242,29 @@ def _jacobi_failures(c):
 
     A product c[a, b, m] c[m, e, l] is a term of J at (a, b, e) and at its
     cyclic rotations, one of which is sorted when (a, b, e) is an even
-    ordering of distinct indices; only nonzero constants are multiplied.
+    ordering of distinct indices. Only nonzero constants are multiplied,
+    and products are summed per (sorted triple, l), not in a dense array.
     When c is antisymmetric, J is totally antisymmetric, so these triples
     decide Jacobi as the full (d, d, d, d) tensor would.
     """
     d = len(c)
-    trip = np.array(list(itertools.combinations(range(d), 3)),
-                    dtype=np.intp).reshape(-1, 3)
-    # index of the sorted triple each even ordering rotates to, else -1
-    tri = np.full((d, d, d), -1)
-    for rot in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        tri[tuple(trip[:, rot].T)] = np.arange(len(trip))
-    acc = np.zeros((len(trip), d), dtype=c.dtype)
     nz = np.argwhere(c)  # rows (a, b, m)
     vals = c[tuple(nz.T)]
+    acc = defaultdict(int)  # (sorted triple, l) as one integer -> J entry
     for m in range(d):
         into, out = nz[:, 2] == m, nz[:, 0] == m
-        t = tri[nz[into, 0, None], nz[into, 1, None], nz[out, 1]]
-        keep = t >= 0
-        np.add.at(acc, (t[keep], np.broadcast_to(nz[out, 2], t.shape)[keep]),
-                  np.multiply.outer(vals[into], vals[out])[keep])
-    return trip[acc.any(axis=1)]
+        a, b = nz[into, 0, None], nz[into, 1, None]
+        e, l = nz[out, 1], nz[out, 2]
+        key = np.full((len(a), len(e)), -1)
+        for i, j, k in ((a, b, e), (b, e, a), (e, a, b)):
+            key = np.where((i < j) & (j < k), ((i * d + j) * d + k) * d + l, key)
+        keep = key >= 0
+        prods = np.multiply.outer(vals[into], vals[out])[keep]
+        for t, v in zip(key[keep].tolist(), prods.tolist()):
+            acc[t] += v
+    bad = sorted({t // d for t, v in acc.items() if v})
+    return np.array([(t // d // d, t // d % d, t % d) for t in bad],
+                    dtype=np.intp).reshape(-1, 3)
 
 
 def to_text(alg):

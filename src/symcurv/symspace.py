@@ -195,9 +195,9 @@ def _curvature_from_slices(space):
     # row t: ad(H_t)|_m as a bivector; column p of R^M is hc[p] @ biv,
     # multiplied in scaled integers over one common denominator
     biv = bivector_coeffs_from_skew(space.ad_h)
-    num, den = ex.scale_to_int(np.concatenate([biv, hc.T], axis=1),
-                               degree=2, terms=space.h_dim)
-    mat = ex.from_scaled_int(num[:, :len(pairs)].T @ num[:, len(pairs):], den * den)
+    num, den = ex.scale_to_int(np.concatenate([biv, hc.T], axis=1))
+    mat = ex.from_scaled_int(
+        ex.int_matmul(num[:, :len(pairs)].T, num[:, len(pairs):]), den * den)
     if not ex.is_zero(mat - mat.T):
         raise SymSpaceError("curvature operator failed exact self-adjointness")
     kernel = ex.nullspace(mat)
@@ -222,25 +222,25 @@ def isotropy_rep(space):
 
 
 def condition_a(space) -> ConditionAReport:
-    """Exact-rational check of span[ker R^M, Im R^M] = ker R^M."""
+    """Exact check of span[ker R^M, Im R^M] = ker R^M on the bracket
+    numerators B: they lie in ker R^M iff R^M B = 0, and span rank(B B^T)."""
     curv = curvature_operator(space)
-    ker = curv.kernel_basis
-    img = curv.image_basis
-    dim_ker = ker.shape[1]
-    dim_img = img.shape[1]
+    ker, img = curv.kernel_basis, curv.image_basis
+    dim_ker, dim_img = ker.shape[1], img.shape[1]
     if dim_ker == 0:
         return ConditionAReport(True, 0, dim_img, 0, None)
-    bmat = _bracket_matrix(ker, img, space.m_dim)
-    if ex.rank(np.concatenate([ker, bmat], axis=1)) > dim_ker:
+    bnum, bden = _bracket_matrix(ker, img, space.m_dim)
+    if ex.int_matmul(ex.scale_to_int(curv.matrix)[0], bnum).any():
         raise ContainmentViolated("[ker, Im] escaped ker R^M")
-    dim_span = ex.rank(bmat)
+    dim_span = ex.rank(ex.from_scaled_int(ex.int_matmul(bnum, bnum.T), 1))
     holds = dim_span == dim_ker
     witness = None
     if not holds:
-        # kernel vector orthogonal to the bracket span, which B's top
-        # dim_span left singular vectors span (a QR of a wide B spans R^N)
+        # kernel vector off B's top dim_span left singular vectors (a QR of
+        # a wide B spans R^N); int division rounds as float(Fraction) does
         kf = ex.to_float(ker)
-        q = np.linalg.svd(ex.to_float(bmat), full_matrices=False)[0][:, :dim_span]
+        bf = ex.to_float(bnum.astype(object) / bden)
+        q = np.linalg.svd(bf, full_matrices=False)[0][:, :dim_span]
         resid = kf - q @ (q.T @ kf)
         col = int(np.argmax(np.linalg.norm(resid, axis=0)))
         w = resid[:, col]
@@ -249,7 +249,8 @@ def condition_a(space) -> ConditionAReport:
 
 
 def _bracket_matrix(ker, img, n):
-    """Exact bivector columns [ker_a, im_b], column a * img.shape[1] + b.
+    """Bivector columns [ker_a, im_b], column a * img.shape[1] + b, as
+    (integer numerators, common denominator).
 
     Both bases are scaled to integers over one denominator; all their
     brackets are then taken at once.
@@ -258,7 +259,7 @@ def _bracket_matrix(ker, img, n):
                                degree=2, terms=2 * n)
     k, i = num[:, : ker.shape[1]].T, num[:, ker.shape[1]:].T
     comm = bivector_bracket(k[:, None], i[None], n)
-    return ex.from_scaled_int(comm.reshape(-1, num.shape[0]).T, den * den)
+    return comm.reshape(-1, num.shape[0]).T, den * den
 
 
 def eigenspace_structure_residuals(curv):
@@ -372,21 +373,13 @@ def cp_model(n):
 
 
 def group_model():
-    """SU(2) as a symmetric space: G = SU(2) x SU(2), H the diagonal."""
+    """SU(2) as a symmetric space: G = SU(2) x SU(2), H the diagonal. The
+    basis is diag(X, X) (D1..D3, spanning h), then diag(X, -X) (A1..A3)."""
     su2 = liealg.make_su(2)
-    g0 = liealg.product_algebra(su2, su2)
     d = su2.dim
-    p = ex.fzeros((2 * d, 2 * d))
-    labels = []
-    for i in range(d):  # diagonal copy spans h
-        p[i, i] = ex.ONE
-        p[i, d + i] = ex.ONE
-        labels.append(f"D{i + 1}")
-    for i in range(d):  # antidiagonal copy spans m
-        p[d + i, i] = ex.ONE
-        p[d + i, d + i] = -ex.ONE
-        labels.append(f"A{i + 1}")
-    g = liealg.change_basis(g0, p, name="su(2)+su(2)|diag", labels=labels)
+    mats = [np.kron(np.diag([1, s]), x) for s in (1, -1) for x in su2.matrices]
+    labels = [f"D{i + 1}" for i in range(d)] + [f"A{i + 1}" for i in range(d)]
+    g = liealg._from_matrices("su(2)+su(2)|diag", labels, mats)
     metric = [g.inner_product[d + i, d + i] for i in range(d)]
     return make_symmetric_space(g, tuple(range(d)), metric, "SU2_group",
                                 isotropy_ref=su2)

@@ -297,6 +297,32 @@ def test_verify_spinor8_peak_memory():
     assert usage.ru_maxrss < 300 * 1024  # KiB on Linux
 
 
+# Runs argv and prints its exit code and ru_maxrss, then its stdout. A
+# child's ru_maxrss starts at its parent's RSS, so the measured run is
+# forked from this small process rather than from the test process.
+_PEAK_RSS_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)\n"
+    "out = p.stdout.read()\n"
+    "_, status, usage = os.wait4(p.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, flush=True)\n"
+    "sys.stdout.buffer.write(out)\n"
+)
+
+
+def test_info_product_space_peak_memory():
+    # Condition A once ran Fraction eliminations on (153, ~4900) bracket
+    # matrices here and peaked at about 77 MB
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_LAUNCHER,
+                           sys.executable, "-m", "symcurv.cli", "info",
+                           "S6xS6xS6"], env=_env(), capture_output=True)
+    head, out = proc.stdout.split(b"\n", 1)
+    code, peak_kb = map(int, head.split())
+    assert proc.returncode == 0 and code == cli.EXIT_OK, proc.stderr
+    assert json.loads(out)["condition_a"] == "holds"
+    assert peak_kb < 70 * 1024  # KiB on Linux
+
+
 def _run_err(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().err

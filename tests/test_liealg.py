@@ -1,6 +1,7 @@
 """Exact Lie algebra models."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,21 @@ def test_jacobi_matches_dense_tensor(alg):
         assert rep.jacobi_ok == (not fails)
         if fails:
             assert rep.witness == ("jacobi", fails[0])
+
+
+def test_validate_memory_follows_nonzero_products():
+    # so(9)+so(9)+so(9), d = 108: an accumulator over every sorted triple
+    # and output index alone would take 176 MB
+    so9 = liealg.make_so(9)
+    alg = liealg.product_algebra(so9, liealg.product_algebra(so9, so9))
+    tracemalloc.start()
+    try:
+        rep = liealg.validate(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 3), Fraction(2**40, 5)])

@@ -86,6 +86,28 @@ def test_exact_mode_roundtrip():
     assert all(a == b for a, b in zip(back, v))
 
 
+def test_int_matmul_matches_python_int_product():
+    rng = np.random.default_rng(0)
+    cases = [
+        # float64 branch, stacked operand included
+        ((rng.integers(-9, 10, (4, 5, 6)), rng.integers(-9, 10, (6, 3))),
+         np.int64),
+        ((np.array([[2**53 - 1]]), np.array([[1]])), np.int64),
+        # inner * max|a| * max|b| just above 2**53, and the true product
+        # 2**53 + 2**27 + 2**26 + 3 is odd, which float64 cannot hold
+        ((np.array([[2**27 + 1, 1]]), np.array([[2**26 + 1], [2]])), object),
+        # an all-zero operand times entries above 2**53, and above float range
+        ((np.zeros((2, 3), dtype=np.int64), np.full((3, 2), 2**60 + 1)),
+         object),
+        ((np.array([[10**400]], dtype=object), np.zeros((1, 1), dtype=np.int64)),
+         object),
+    ]
+    for (a, b), dtype in cases:
+        got = ex.int_matmul(a, b)
+        assert got.dtype == dtype
+        assert np.array_equal(got, a.astype(object) @ b.astype(object))
+
+
 def test_tolerances_live_in_the_table():
     # float tolerance literals only in linalg's table, and SYMCURV_TOL (EPS)
     # read only by the check bounds defined there

@@ -1,6 +1,7 @@
 """Cartan pairs, curvature operators, Condition A, catalog."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -70,7 +71,7 @@ def test_condition_a_witness_is_a_kernel_vector_off_the_bracket_span(name):
     assert abs(np.linalg.norm(w) - 1) <= 1e-12
     assert np.abs(curv.float_matrix @ w).max() <= 1e-12
     if curv.image_basis.shape[1]:
-        bmat = ex.to_float(ss._bracket_matrix(curv.kernel_basis,
+        bmat = ex.to_float(_bracket_fractions(curv.kernel_basis,
                                               curv.image_basis, space.m_dim))
         assert np.abs(bmat.T @ w).max() <= 1e-12 * np.abs(bmat).max()
 
@@ -247,19 +248,34 @@ def test_curvature_operator_memoized_per_space():
     assert ex.is_zero(ss.curvature_operator(renamed).matrix - curv.matrix)
 
 
+def _bracket_fractions(ker, img, n):
+    """The library's bracket matrix as Fractions."""
+    return ex.from_scaled_int(*ss._bracket_matrix(ker, img, n))
+
+
 def _reference_bracket_matrix(ker, img, n):
     """The per-pair loop Condition A brackets were first built with: one
-    exact commutator of skew matrices per (kernel, image) column pair."""
-    from symcurv.linalg import skew_from_bivector_coeffs
+    exact commutator of skew matrices per (kernel, image) column pair. Each
+    column is scaled to Python ints by its own denominator, so that the
+    matrix products multiply ints rather than Fractions."""
+    def skews(basis):
+        out = []
+        for col in basis.T:
+            den = math.lcm(*(v.denominator for v in col))
+            a = np.zeros((n, n), dtype=object)
+            for v, (i, j) in zip(col, pair_index(n)):
+                a[j, i], a[i, j] = int(v * den), -int(v * den)
+            out.append((a, den))
+        return out
 
     cols = []
-    for a in range(ker.shape[1]):
-        ka = skew_from_bivector_coeffs(ker[:, a], n)
-        for b in range(img.shape[1]):
-            ib = skew_from_bivector_coeffs(img[:, b], n)
+    img_skews = skews(img)
+    for ka, da in skews(ker):
+        for ib, db in img_skews:
             comm = np.dot(ka, ib) - np.dot(ib, ka)
-            cols.append(bivector_coeffs_from_skew(comm))
-    return np.stack(cols, axis=1)
+            cols.append([Fraction(v, da * db)
+                         for v in bivector_coeffs_from_skew(comm)])
+    return np.array(cols, dtype=object).T
 
 
 def _reference_condition_a(space):
@@ -279,22 +295,37 @@ def _reference_condition_a(space):
 
 
 @pytest.mark.parametrize("name", ["S4xS4", "S3xS3", "S2xS3", "CP3", "S2xS2",
-                                  "S2xR2", "CP2", "R1xR1"])
+                                  "S2xR2", "CP2", "R1xR1", "S3xR2", "S8xR4",
+                                  "S4xR1xR1", "CP2xR2", "CP3xCP3",
+                                  "S4xS4xS4"])
 def test_scaled_integer_brackets_match_fraction_path(name):
     space = ss.catalog(name)
     curv = ss.curvature_operator(space)
     ker, img = curv.kernel_basis, curv.image_basis
     if img.shape[1]:
-        assert _same_fractions(ss._bracket_matrix(ker, img, space.m_dim),
+        assert _same_fractions(_bracket_fractions(ker, img, space.m_dim),
                                _reference_bracket_matrix(ker, img,
                                                          space.m_dim))
     holds, dim_span, resid = _reference_condition_a(space)
     rep = ss.condition_a(space)
     assert (rep.holds, rep.dim_span_bracket) == (holds, dim_span)
-    if not holds:  # S2xR2 and R1xR1 take the witness path
+    if not holds:  # the spaces with a flat factor take the witness path
         col = int(np.argmax(np.linalg.norm(resid, axis=0)))
         w = resid[:, col] / np.linalg.norm(resid[:, col])
         assert np.array_equal(rep.witness, w)
+
+
+def test_condition_a_raises_when_brackets_leave_the_kernel(monkeypatch):
+    # an image column of S3 among the kernel columns: its brackets with the
+    # image are nonzero and lie in the image, so R^M B != 0
+    space = ss.catalog("S2xS3")
+    curv = ss.curvature_operator(space)
+    ker = curv.kernel_basis.copy()
+    ker[:, 0] = curv.image_basis[:, -1]
+    bad = dataclasses.replace(curv, kernel_basis=ker)
+    monkeypatch.setattr(ss, "curvature_operator", lambda _: bad)
+    with pytest.raises(ss.ContainmentViolated):
+        ss.condition_a(space)
 
 
 def test_scaled_integer_brackets_large_entries():
@@ -307,7 +338,7 @@ def test_scaled_integer_brackets_large_entries():
     num, _ = ex.scale_to_int(np.concatenate([ker, img], axis=1), degree=2,
                              terms=2 * n)
     assert num.dtype == object
-    assert _same_fractions(ss._bracket_matrix(ker, img, n),
+    assert _same_fractions(_bracket_fractions(ker, img, n),
                            _reference_bracket_matrix(ker, img, n))
 
 
