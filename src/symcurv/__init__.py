@@ -10,6 +10,14 @@ Modules:
     cli          command-line front end
 """
 
+import sys
+
 __version__ = "0.1.0"
 
-from . import bundles, liealg, linalg, reps, spherebundle, symspace  # noqa: F401
+
+def __getattr__(name):  # PEP 562: a submodule is imported on first use
+    if name in "bundles liealg linalg reps spherebundle symspace".split():
+        # `from . import x` also calls this; -X importtime logs __import__
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _exact as ex
+from . import liealg
 from . import reps as rp
 from . import symspace as ss
 from .linalg import (
@@ -261,6 +262,23 @@ def _frame_form(bundle):
 
 def _complex_trace(m, jc):
     return 0.5 * (np.trace(m) - 1j * np.trace(jc @ m))
+
+
+def c1_weight(space, rep):
+    """c1 as a representation weight for CP^n bases with n > 1: the complex
+    trace of the image of the central element i*I, normalized so det^k has
+    weight k."""
+    check_source(space, rep)
+    un = space.isotropy_ref
+    n = un.complex_n
+    target = liealg.realify(ex.fzeros((n, n)), ex.feye(n))  # i * identity
+    gram = un.inner_product
+    rhs = ex.farray([ex.trace_form(m, target) for m in un.matrices])
+    coeffs = ex.to_float(ex.solve(gram, rhs))
+    img = rep.image(coeffs)
+    if rep.complex_structure is None:
+        raise UnsupportedBase("weight report needs a complex structure")
+    return _complex_trace(img, rep.complex_structure).imag / n
 
 
 def characteristic_numbers(bundle, tolerance=INTEGRALITY_TOL) -> CharClassReport:

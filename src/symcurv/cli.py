@@ -14,12 +14,7 @@ import sys
 
 import numpy as np
 
-from . import _exact as ex
-from . import bundles as bn
-from . import liealg
 from . import linalg
-from . import reps as rp
-from . import spherebundle as sb
 from . import symspace as ss
 
 EXIT_OK = 0
@@ -113,6 +108,7 @@ _REP_ALIASES = {"un_det": "det", "un_fund": "fund", "spin_fund": "spinor"}
 def parse_rep(desc, space):
     """Rep descriptor with CLI conveniences: un_det:k / un_fund:k pick up the
     complex rank from a CP^n base; spin_fund is an alias for spinor."""
+    from . import reps as rp
     desc = desc.strip()
     for alias, canon in _REP_ALIASES.items():
         if desc.startswith(alias + ":"):
@@ -155,6 +151,7 @@ def cmd_info(args):
 
 
 def cmd_classify(args):
+    from . import bundles as bn
     space = load_space(args.space, args.config)
     reports = bn.classify_bundles(space, args.rank, weight_cap=args.weight_cap,
                                   tol=args.tol)
@@ -180,6 +177,7 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
+    from . import bundles as bn, reps as rp, spherebundle as sb
     space = load_space(args.space, args.config)
     rep = parse_rep(args.rep, space)
     bundle = bn.induce(space, rep)
@@ -226,31 +224,14 @@ def cmd_verify(args):
     return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
 
 
-def _cp_weight_report(space, rep):
-    """c1 as a representation weight for CP^n bases with n > 1: the complex
-    trace of the image of the central element i*I, normalized so det^k has
-    weight k."""
-    bn.check_source(space, rep)
-    un = space.isotropy_ref
-    n = un.complex_n
-    target = liealg.realify(ex.fzeros((n, n)), ex.feye(n))  # i * identity
-    gram = un.inner_product
-    rhs = ex.farray([ex.trace_form(m, target) for m in un.matrices])
-    coeffs = ex.to_float(ex.solve(gram, rhs))
-    img = rep.image(coeffs)
-    if rep.complex_structure is None:
-        raise bn.UnsupportedBase("weight report needs a complex structure")
-    trc = bn._complex_trace(img, rep.complex_structure)
-    return trc.imag / n
-
-
 def cmd_charclasses(args):
+    from . import bundles as bn
     space = load_space(args.space, args.config)
     rep = parse_rep(args.rep, space)
     tol = args.tol or linalg.INTEGRALITY_TOL
     cn = getattr(space.isotropy_ref, "complex_n", None)  # n of CP^n's u(n)
     if cn and space.m_dim > 2 and space.m_dim - space.flat_dim == 2 * cn:
-        weight = _cp_weight_report(space, rep)
+        weight = bn.c1_weight(space, rep)
         data = {"base": space.name, "rank": rep.target_dim,
                 "mode": "representation-weight", "c1_weight": weight,
                 "integral": bool(abs(weight - round(weight)) <= tol)}
@@ -326,13 +307,18 @@ def main(argv=None):
         return EXIT_PARSE_ERROR
     try:
         return args.func(args)
-    except (ss.UnknownSpace, ss.SymSpaceError, bn.UnsupportedBase,
-            bn.UnsupportedSpace, rp.UnsupportedDim, bn.SourceMismatch) as e:
+    except Exception as e:
+        from . import bundles as bn, reps as rp  # only once a command failed
+        if isinstance(e, (ss.SymSpaceError, bn.UnsupportedBase,
+                          bn.UnsupportedSpace, rp.UnsupportedDim,
+                          rp.SourceMismatch)):
+            code = EXIT_UNSUPPORTED
+        elif isinstance(e, (rp.DescriptorError, ValueError)):
+            code = EXIT_PARSE_ERROR
+        else:
+            raise
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (rp.DescriptorError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        return code
 
 
 if __name__ == "__main__":

@@ -90,8 +90,13 @@ class SymmetricSpaceModel:
 
     @functools.cached_property
     def _curvature(self):
-        # memo behind curvature_operator(), its only reader
-        return _curvature_from_slices(self)
+        # memo behind curvature_operator(), its only reader. A kernel column's
+        # last nonzero is on its free column; R^M's pivot columns span Im R^M.
+        mat, hc = _curvature_matrix(self)
+        kernel = ex.nullspace(mat)
+        free = {np.flatnonzero(col)[-1] for col in kernel.T}
+        image = mat[:, [c for c in range(len(mat)) if c not in free]]
+        return CurvatureOperator(self.m_dim, mat, hc, kernel, image)
 
 
 @dataclass
@@ -182,10 +187,10 @@ def curvature_operator(space) -> CurvatureOperator:
     return space._curvature
 
 
-def _curvature_from_slices(space):
-    n = space.m_dim
+def _curvature_matrix(space):
+    """(R^M, h_coeff) in exact Fractions, R^M checked self-adjoint."""
     d = space.metric_diag
-    pairs = pair_index(n)
+    pairs = pair_index(space.m_dim)
     # [x_a, x_b] in h coordinates for the orthonormal frame x_a = X_a / sqrt(d_a)
     bracket = space.g.structure[np.ix_(space.m_indices, space.m_indices,
                                        space.h_indices)]
@@ -200,12 +205,7 @@ def _curvature_from_slices(space):
         ex.int_matmul(num[:, :len(pairs)].T, num[:, len(pairs):]), den * den)
     if not ex.is_zero(mat - mat.T):
         raise SymSpaceError("curvature operator failed exact self-adjointness")
-    kernel = ex.nullspace(mat)
-    img_cols = ex.column_space(mat)
-    image = mat[:, img_cols] if img_cols else ex.fzeros((len(pairs), 0))
-    return CurvatureOperator(
-        m_dim=n, matrix=mat, h_coeff=hc, kernel_basis=kernel, image_basis=image,
-    )
+    return mat, hc
 
 
 def isotropy_rep(space):
@@ -364,10 +364,8 @@ def cp_model(n):
     space = make_symmetric_space(g, h_idx, [base] * (2 * n), f"CP{n}",
                                  isotropy_ref=un)
     # rescale so that K(Z_1, W_1) = 4; sectional curvature scales as 1/c
-    curv = curvature_operator(space)
     p = pair_index(2 * n).index((0, n))
-    khol = curv.matrix[p, p]
-    scale = khol / 4
+    scale = _curvature_matrix(space)[0][p, p] / 4
     return make_symmetric_space(g, h_idx, [base * scale] * (2 * n), f"CP{n}",
                                 isotropy_ref=un)
 

@@ -281,22 +281,6 @@ def test_tiny_symcurv_tol_still_builds_real_forms():
     assert json.loads(res.stdout)["checks"]["schur_constancy"]["irreducible"]
 
 
-def test_verify_spinor8_peak_memory():
-    # the commutant of the 32-dim spinor rep once took a (28672, 1024)
-    # system and about 985 MB
-    proc = subprocess.Popen([sys.executable, "-m", "symcurv.cli", "verify",
-                             "S8", "spinor:8", "--samples", "10"],
-                            env=_env(SYMCURV_TOL="1e-9"),  # the default
-                            stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    out, err = proc.stdout.read(), proc.stderr.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == cli.EXIT_OK, err
-    assert not json.loads(out)["checks"]["schur_constancy"]["irreducible"]
-    assert usage.ru_maxrss < 300 * 1024  # KiB on Linux
-
-
 # Runs argv and prints its exit code and ru_maxrss, then its stdout. A
 # child's ru_maxrss starts at its parent's RSS, so the measured run is
 # forked from this small process rather than from the test process.
@@ -310,17 +294,93 @@ _PEAK_RSS_LAUNCHER = (
 )
 
 
-def test_info_product_space_peak_memory():
-    # Condition A once ran Fraction eliminations on (153, ~4900) bracket
-    # matrices here and peaked at about 77 MB
+def _peak_rss_run(*argv, **env):
+    """(stdout, peak RSS in KiB) of a fresh `symcurv` process that exits 0."""
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_LAUNCHER,
-                           sys.executable, "-m", "symcurv.cli", "info",
-                           "S6xS6xS6"], env=_env(), capture_output=True)
+                           sys.executable, "-m", "symcurv.cli", *argv],
+                          env=_env(**env), capture_output=True)
     head, out = proc.stdout.split(b"\n", 1)
     code, peak_kb = map(int, head.split())
     assert proc.returncode == 0 and code == cli.EXIT_OK, proc.stderr
+    return out, peak_kb
+
+
+def test_verify_spinor8_peak_memory():
+    # the commutant of the 32-dim spinor rep once took a (28672, 1024)
+    # system and about 985 MB; it now peaks at about 81 MB
+    out, peak_kb = _peak_rss_run("verify", "S8", "spinor:8", "--samples",
+                                 "10", SYMCURV_TOL="1e-9")  # the default
+    assert not json.loads(out)["checks"]["schur_constancy"]["irreducible"]
+    assert peak_kb < 100 * 1024  # KiB on Linux
+
+
+def test_info_product_space_peak_memory():
+    # Condition A once ran Fraction eliminations on (153, ~4900) bracket
+    # matrices here and peaked at about 77 MB
+    out, peak_kb = _peak_rss_run("info", "S6xS6xS6")
     assert json.loads(out)["condition_a"] == "holds"
     assert peak_kb < 70 * 1024  # KiB on Linux
+
+
+# Prints the symcurv modules loaded after `import symcurv.cli` and, given
+# arguments, after cli.main ran them. A fresh interpreter is needed: pytest
+# has imported every module into this one.
+_LOADED_MODULES = (
+    "import sys\n"
+    "from symcurv import cli\n"
+    "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, *(m for m in sys.modules if m.startswith('symcurv.')))\n"
+)
+_BUNDLE_LAYERS = {"symcurv.bundles", "symcurv.reps", "symcurv.spherebundle"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ((), _BUNDLE_LAYERS),
+    (("info", "S7"), _BUNDLE_LAYERS),
+    (("classify", "S4", "--rank", "4"), {"symcurv.spherebundle"}),
+    (("charclasses", "CP2", "un_det:1"), {"symcurv.spherebundle"}),
+])
+def test_command_loads_only_its_layers(argv, absent):
+    res = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+                         env=_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    code, *loaded = res.stdout.splitlines()[-1].split()
+    assert code == "0", res.stderr
+    assert "symcurv.symspace" in loaded and not absent & set(loaded)
+
+
+def test_package_attributes_import_submodules():
+    res = subprocess.run(
+        [sys.executable, "-c", "import symcurv\n"
+         "print(symcurv.bundles.induce.__name__, hasattr(symcurv, 'nope'))"],
+        env=_env(), capture_output=True, text=True)
+    assert res.stdout == "induce False\n", res.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("info", "S17"), cli.EXIT_UNSUPPORTED),  # UnknownSpace
+    (("info", "Bad", "--config", "spaces.txt"),
+     cli.EXIT_UNSUPPORTED),  # SymSpaceError: MetricNotInvariant
+    (("charclasses", "S5", "spinor:5"), cli.EXIT_UNSUPPORTED),  # UnsupportedBase
+    (("classify", "S6", "--rank", "4"), cli.EXIT_UNSUPPORTED),  # UnsupportedSpace
+    (("verify", "S4", "spinor:9"), cli.EXIT_UNSUPPORTED),  # UnsupportedDim
+    (("verify", "S4", "spin2:3"), cli.EXIT_UNSUPPORTED),  # SourceMismatch
+    (("verify", "S4", "spin4:(1"), cli.EXIT_PARSE_ERROR),  # DescriptorError
+    (("info", "Foo", "--config", "absent.txt"),
+     cli.EXIT_PARSE_ERROR),  # ValueError: an unreadable file
+])
+def test_fresh_process_error_exits_with_one_line(tmp_path, argv, code):
+    # the bundle layers' error classes are imported on the error path only,
+    # which an in-process test cannot reach: pytest has them loaded
+    text = _renamed_text("S3", "Bad")
+    (tmp_path / "spaces.txt").write_text(text.replace("\nmetric 1 1 1\n",
+                                                      "\nmetric 1 1 2\n"))
+    res = subprocess.run([sys.executable, "-m", "symcurv.cli", *argv],
+                         cwd=tmp_path, env=_env(), capture_output=True,
+                         text=True)
+    assert (res.returncode, res.stdout) == (code, "")
+    assert res.stderr.startswith("error: ")
+    assert len(res.stderr.splitlines()) == 1
 
 
 def _run_err(capsys, *argv):
