@@ -29,6 +29,7 @@ from .linalg import (
     combine,
     pair_index,
     project,
+    row_chunks,
     row_norms,
     solve_on_image,
 )
@@ -120,14 +121,18 @@ def induce(space, rep) -> InducedBundle:
 
 
 def bracket_residuals(bundle, a, b):
-    """Residuals of R^E[R^M a, b] = [R^E a, R^E b] for each row pair
-    (a[i], b[i]) of bivector coefficients, in stacked products."""
+    """Residuals of R^E[R^M a, b] = [R^E a, R^E b] for each row pair (a[i],
+    b[i]), in stacked products over chunks of rows (each k x k or n x n)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    rma = (bundle.curv.float_matrix @ a[..., None])[..., 0]
-    lhs = bundle.value(bivector_bracket(rma, b, bundle.space.m_dim))
-    ra, rb = bundle.value(a), bundle.value(b)
-    return np.abs(lhs - (ra @ rb - rb @ ra)).max(axis=(-2, -1), initial=0.0)
+    n, out = bundle.space.m_dim, []
+    for s in row_chunks(len(a), max(bundle.rank, n) ** 2):
+        rma = (bundle.curv.float_matrix @ a[s, :, None])[..., 0]
+        lhs = bundle.value(bivector_bracket(rma, b[s], n))
+        ra, rb = bundle.value(a[s]), bundle.value(b[s])
+        out.append(np.abs(lhs - (ra @ rb - rb @ ra)).max(axis=(-2, -1),
+                                                          initial=0.0))
+    return np.concatenate(out)
 
 
 def bracket_identity_residual(bundle, a, b):
@@ -183,11 +188,13 @@ def recover_rho_hat(space, blocks) -> RecoveredHom:
     for t in range(img.shape[1]):
         images[t] = combine(solve_on_image(curv.eigendata, img[:, t]), blocks)
     # homomorphism residual on the holonomy algebra, over all pairs i < j
-    i, j = np.triu_indices(img.shape[1], 1)
-    coeffs, off = project(img, bivector_bracket(img.T[i], img.T[j], space.m_dim))
-    rhs = images[i] @ images[j] - images[j] @ images[i]
-    worst = max(float(row_norms(off).max(initial=0.0)),
-                float(np.abs(combine(coeffs, images) - rhs).max(initial=0.0)))
+    (pi, pj), n, worst = np.triu_indices(img.shape[1], 1), space.m_dim, 0.0
+    for s in row_chunks(len(pi), max(blocks.shape[1], n) ** 2):
+        i, j = pi[s], pj[s]
+        coeffs, off = project(img, bivector_bracket(img.T[i], img.T[j], n))
+        rhs = images[i] @ images[j] - images[j] @ images[i]
+        worst = max(worst, float(row_norms(off).max(initial=0.0)), float(
+            np.abs(combine(coeffs, images) - rhs).max(initial=0.0)))
     if worst > tol * max(1.0, scale * scale):
         raise NotHomomorphism("reconstructed map is not a homomorphism", worst)
     return RecoveredHom(space=space, image_basis=img, images=images,

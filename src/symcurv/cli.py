@@ -301,7 +301,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     bad_tol = args.tol is not None and not 0 < args.tol < float("inf")
-    error = "tolerance must be positive" if bad_tol else linalg.EPS_ERROR
+    low = [f"--{o.replace('_', '-')} must be at least {m}" for o, m in dict(
+        samples=1, rank=0, weight_cap=0).items() if getattr(args, o, m) < m]
+    error = ("tolerance must be positive" if bad_tol else
+             low[0] if low else linalg.EPS_ERROR)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_PARSE_ERROR

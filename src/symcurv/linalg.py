@@ -139,6 +139,18 @@ def row_norms(x):
     return np.sqrt(x[..., None, :] @ x[..., None])[..., 0, 0]
 
 
+# Entries (128 KiB of float64) one temporary of a row-stacked check may
+# hold: checks take rows in chunks under it, so a row bounds their memory.
+CHUNK_ENTRIES = 2 ** 14
+
+
+def row_chunks(rows, entries_per_row):
+    """Slices covering range(rows) in order, of at least one row and at most
+    CHUNK_ENTRIES entries each; one empty slice when there are no rows."""
+    step = max(1, CHUNK_ENTRIES // max(1, entries_per_row))
+    return [slice(s, s + step) for s in range(0, max(rows, 1), step)]
+
+
 def eig_sym(m) -> EigenDecomposition:
     """Eigenvalues of a symmetric matrix, clustered at gaps of at most
     SQRT_EPS times the largest magnitude, each with an orthonormal basis of

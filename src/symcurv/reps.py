@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _exact as ex
 from . import liealg
-from .linalg import SQRT_EPS, combine, null_cut
+from .linalg import SQRT_EPS, combine, null_cut, row_chunks
 
 
 class RepError(Exception):
@@ -392,16 +392,19 @@ def commutant_basis(rep):
         np.diff(vals) > SQRT_EPS * vals.max(initial=0.0)))
     rows = np.concatenate([np.repeat(b, len(b)) for b in blocks])
     cols = np.concatenate([np.tile(b, len(b)) for b in blocks])
-    # column u holds [rho_t, E_u] for every t, E_u = e_rows[u] e_cols[u]^T
+    # column u holds [rho_t, E_u] for every t, E_u = e_rows[u] e_cols[u]^T;
+    # its normal matrix, with the same null space, is summed chunk by chunk
     rho = q.T @ images @ q
     u = np.arange(len(rows))
-    lhs = np.zeros((k, n, n, len(u)))
-    lhs[:, :, cols, u] = rho[:, :, rows]
-    lhs[:, rows, :, u] -= rho[:, cols, :].transpose(1, 0, 2)
-    lhs = lhs.reshape(k * n * n, len(u))
-    # the normal matrix has the same null space
-    w, v = np.linalg.eigh(lhs.T @ lhs)
-    null = v[:, w <= null_cut(lhs.shape, w.max(initial=0.0))]
+    gram = np.zeros((len(u), len(u)))
+    for s in row_chunks(k, n * n * len(u)):
+        lhs = np.zeros((len(rho[s]), n, n, len(u)))
+        lhs[:, :, cols, u] = rho[s][:, :, rows]
+        lhs[:, rows, :, u] -= rho[s][:, cols, :].transpose(1, 0, 2)
+        lhs = lhs.reshape(-1, len(u))
+        gram += lhs.T @ lhs
+    w, v = np.linalg.eigh(gram)
+    null = v[:, w <= null_cut((k * n * n, len(u)), w.max(initial=0.0))]
     # the unknowns are orthonormal entries and q is orthogonal, so the basis
     # stays orthonormal
     out = np.zeros((null.shape[1], n, n))

@@ -212,6 +212,50 @@ def test_bad_tol_flag_is_a_parse_error(capsys, value):
     assert capsys.readouterr().err == "error: tolerance must be positive\n"
 
 
+def _assert_rejected_before_work(capsys, monkeypatch, argv, message):
+    def load_space(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "load_space", load_space)
+    assert cli.main(argv) == cli.EXIT_PARSE_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_samples_below_one_is_a_parse_error(capsys, monkeypatch, value):
+    # --samples 0 once skipped the Schur check and reported it passed
+    _assert_rejected_before_work(
+        capsys, monkeypatch,
+        ["verify", "S4", "sum(spin4:(1,0),trivial:1)", "--samples", value],
+        "--samples must be at least 1")
+
+
+def test_negative_rank_is_a_parse_error(capsys, monkeypatch):
+    # it once printed an empty table and exited 0
+    _assert_rejected_before_work(capsys, monkeypatch,
+                                 ["classify", "CP2", "--rank", "-1"],
+                                 "--rank must be at least 0")
+
+
+def test_negative_weight_cap_is_a_parse_error(capsys, monkeypatch):
+    # it once dropped every twist from the CP2 pool without a word
+    _assert_rejected_before_work(
+        capsys, monkeypatch,
+        ["classify", "CP2", "--rank", "4", "--weight-cap", "-1"],
+        "--weight-cap must be at least 0")
+
+
+def test_least_option_values_still_run(capsys):
+    assert cli.main(["classify", "CP2", "--rank", "0"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["bundles"] == []
+    assert cli.main(["classify", "CP2", "--rank", "2", "--weight-cap", "0"]) \
+        == cli.EXIT_OK
+    labels = [b["label"] for b in json.loads(capsys.readouterr().out)["bundles"]]
+    assert labels == ["trivial:1", "sum(trivial:1,trivial:1)"]
+    assert cli.main(["verify", "S4", "spin4:(1,0)", "--samples", "1"]) == \
+        cli.EXIT_OK
+
+
 def _env(**extra):
     src = os.path.dirname(os.path.dirname(symcurv.__file__))
     return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
@@ -307,11 +351,21 @@ def _peak_rss_run(*argv, **env):
 
 def test_verify_spinor8_peak_memory():
     # the commutant of the 32-dim spinor rep once took a (28672, 1024)
-    # system and about 985 MB; it now peaks at about 81 MB
+    # system and about 985 MB, then a (28672, 128) one and about 81 MB; the
+    # checks now hold one chunk of their rows at a time, about 43 MB
     out, peak_kb = _peak_rss_run("verify", "S8", "spinor:8", "--samples",
                                  "10", SYMCURV_TOL="1e-9")  # the default
     assert not json.loads(out)["checks"]["schur_constancy"]["irreducible"]
-    assert peak_kb < 100 * 1024  # KiB on Linux
+    assert peak_kb < 60 * 1024  # KiB on Linux
+
+
+def test_verify_spinor_sum_peak_memory():
+    # the commutant's (21504, 256) system, held whole, took about 90 MB;
+    # one generator's 1024 rows of it take about 45 MB
+    out, peak_kb = _peak_rss_run("verify", "S7", "sum(spinor:7,spinor:7)",
+                                 "--samples", "10")
+    assert json.loads(out)["all_passed"]
+    assert peak_kb < 60 * 1024  # KiB on Linux
 
 
 def test_info_product_space_peak_memory():
