@@ -44,6 +44,10 @@ class KernelNotIncluded(BundleError):
     pass
 
 
+class NotFinite(BundleError):
+    pass
+
+
 class NotHomomorphism(BundleError):
     def __init__(self, msg, residual):
         super().__init__(f"{msg} (residual {residual:.3e})")
@@ -166,13 +170,15 @@ def recover_rho_hat(space, blocks) -> RecoveredHom:
     """Reconstruct rho-hat = R^E o (R^M)^{-1} on Im R^M and validate it.
 
     blocks is the candidate bundle curvature on basis bivectors. Raises
-    KernelNotIncluded when the candidate does not kill ker R^M and
-    NotHomomorphism when the reconstructed map fails to be a Lie algebra
-    homomorphism on the holonomy algebra.
+    NotFinite on a NaN or infinite entry, KernelNotIncluded when it does
+    not kill ker R^M, and NotHomomorphism when the reconstructed map is
+    not a Lie algebra homomorphism on the holonomy algebra.
     """
+    blocks = np.asarray(blocks, dtype=float)
+    if not np.isfinite(blocks).all():
+        raise NotFinite("candidate curvature has a non-finite entry")
     tol = RECOVER_TOL
     curv = ss.curvature_operator(space)
-    blocks = np.asarray(blocks, dtype=float)
     scale = max(1.0, np.abs(blocks).max(initial=0.0))
     ker = ex.to_float(curv.kernel_basis)
     on_ker = np.abs(combine(ker.T, blocks)).max(axis=(-2, -1), initial=0.0)

@@ -194,7 +194,7 @@ def cmd_verify(args):
     roundtrip_ok = rt_resid is not None and rt_resid <= tol
     irreducible = rp.is_irreducible(rep)
     schur = sb.schur_constancy_check(bundle, samples=args.samples,
-                                     seed=args.seed)
+                                     seed=args.seed, tol=tol)
     schur_status = ("pass" if schur.ok else "fail") if irreducible \
         else ("not-applicable" if not schur.ok else "pass")
     checks_ok = (bracket.ok and kernel.ok and rand_ok and roundtrip_ok

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _exact as ex
 from . import liealg
-from .linalg import SQRT_EPS, combine, null_cut, row_chunks
+from .linalg import SQRT_EPS, combine, null_cut, pair_index
 
 
 class RepError(Exception):
@@ -165,10 +165,8 @@ def real_form(rep):
         raise RepError("structure map does not square to +1")
     vals, vecs = np.linalg.eigh((j + j.T) / 2)
     q = vecs[:, vals > 0.5]
-    images = np.stack([q.T @ m @ q for m in rep.images])
-    resid = max(
-        np.abs(m @ q - q @ (q.T @ m @ q)).max(initial=0.0) for m in rep.images
-    )
+    images = q.T @ rep.images @ q
+    resid = np.abs(rep.images @ q - q @ images).max(initial=0.0)
     if resid > SQRT_EPS * np.abs(rep.images).max(initial=0.0):
         raise RepError("fixed space of structure map is not invariant")
     return AlgebraRep(rep.source, images, label=rep.label + "|real")
@@ -253,8 +251,7 @@ def spin_fundamental(n, chirality=None):
         raise UnsupportedDim("spin_fundamental supports 3 <= n <= 8")
     son = liealg.make_so(n)
     gam = _gammas(n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    images = [0.5 * (gam[i] @ gam[j]) for i, j in pairs]
+    images = [0.5 * (gam[i] @ gam[j]) for i, j in pair_index(n)]
     label = f"spinor:{n}"
     if chirality is not None:
         if n % 2 != 0:
@@ -381,10 +378,8 @@ def commutant_basis(rep):
     equal eigenvalues never split, so a poor A only merges blocks.
     """
     n = rep.target_dim
-    # with no generators every matrix commutes: one zero image says so
-    images = rep.images if len(rep.images) else np.zeros((1, n, n))
-    k = len(images)
-    a = combine(np.sqrt(np.arange(2.0, k + 2)) + np.arange(k) / 7, images)
+    k = len(rep.images)
+    a = combine(np.sqrt(np.arange(2.0, k + 2)) + np.arange(k) / 7, rep.images)
     vals, q = np.linalg.eigh(a.T @ a)
     # eigenvectors accurate to about SQRT_EPS leave a commutant element cut
     # to the blocks a squared residual of about eps, under the null cutoff
@@ -392,19 +387,17 @@ def commutant_basis(rep):
         np.diff(vals) > SQRT_EPS * vals.max(initial=0.0)))
     rows = np.concatenate([np.repeat(b, len(b)) for b in blocks])
     cols = np.concatenate([np.tile(b, len(b)) for b in blocks])
-    # column u holds [rho_t, E_u] for every t, E_u = e_rows[u] e_cols[u]^T;
-    # its normal matrix, with the same null space, is summed chunk by chunk
-    rho = q.T @ images @ q
-    u = np.arange(len(rows))
-    gram = np.zeros((len(u), len(u)))
-    for s in row_chunks(k, n * n * len(u)):
-        lhs = np.zeros((len(rho[s]), n, n, len(u)))
-        lhs[:, :, cols, u] = rho[s][:, :, rows]
-        lhs[:, rows, :, u] -= rho[s][:, cols, :].transpose(1, 0, 2)
-        lhs = lhs.reshape(-1, len(u))
-        gram += lhs.T @ lhs
+    # normal matrix of the constraints on E_u = e_rows[u] e_cols[u]^T, for
+    # skew rho_t: P = -sum_t rho_t^2 on equal columns and on equal rows, less
+    # 2 rho_t[rows, rows] * rho_t[cols, cols], taken one t at a time
+    rho = q.T @ rep.images @ q
+    p = -(rho @ rho).sum(axis=0)
+    gram = np.where(cols[:, None] == cols, p[rows][:, rows], 0.0)
+    gram += np.where(rows[:, None] == rows, p[cols][:, cols], 0.0)
+    for r in rho:
+        gram -= 2 * r[rows][:, rows] * r[cols][:, cols]
     w, v = np.linalg.eigh(gram)
-    null = v[:, w <= null_cut((k * n * n, len(u)), w.max(initial=0.0))]
+    null = v[:, w <= null_cut((k * n * n, len(rows)), w.max(initial=0.0))]
     # the unknowns are orthonormal entries and q is orthogonal, so the basis
     # stays orthonormal
     out = np.zeros((null.shape[1], n, n))
@@ -419,7 +412,7 @@ def equivalent(r1, r2):
     if r1.source.dim != r2.source.dim:
         return False
     n = r1.target_dim
-    if r1.source.dim == 0:
+    if n == 0 or r1.source.dim == 0:
         return True
     # the commutant of r1 + r2 is the orthogonal sum of its four blocks, so
     # its lower-left block has singular values 1 on Hom(r1, r2) and 0 off it

@@ -63,8 +63,9 @@ def c_of(ct, u):
     return float(u @ ct.operator @ u)
 
 
-def schur_constancy_check(bundle, samples=1000, seed=0):
+def schur_constancy_check(bundle, samples=1000, seed=0, tol=None):
     """Sample C(u) on random unit vectors and compare with tr(C~)/k."""
+    tol = CHECK_TOL if tol is None else tol
     ct = c_tilde(bundle)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -73,7 +74,7 @@ def schur_constancy_check(bundle, samples=1000, seed=0):
         u /= np.linalg.norm(u)
         worst = max(worst, abs(c_of(ct, u) - ct.constant))
     return ConstancyReport(
-        ok=worst <= CHECK_TOL * max(1.0, abs(ct.constant)),
+        ok=worst <= tol * max(1.0, abs(ct.constant)),
         constant=ct.constant, max_deviation=worst, samples=samples,
     )
 

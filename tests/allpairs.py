@@ -1,12 +1,14 @@
 """All-pairs forms of the three float verification kernels, kept as test
 references.
 
-symcurv takes the bracket identity, the homomorphism residual and the
-commutant system in row chunks (linalg.row_chunks), so that their memory is
-bounded by one row of the system. The formulas below hold each system
-whole. Chunking only splits stacked products into fewer rows, so the
-residuals agree bit for bit; the commutant's normal matrix is summed in a
-different order, so its basis agrees to rounding.
+symcurv takes the bracket identity and the homomorphism residual in row
+chunks (linalg.row_chunks), so that their memory is bounded by one row of
+the system, and writes the commutant's normal matrix in closed form from
+the images without forming its (k n^2, m) constraint system. The formulas
+below hold each system whole. Chunking only splits stacked products into
+fewer rows, so the residuals agree bit for bit; the closed form sums the
+normal matrix in a different order, so the commutant's basis agrees to
+rounding.
 
 The tests import it as a sibling module, like homomorphism.py.
 """

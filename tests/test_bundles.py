@@ -127,6 +127,19 @@ def test_recover_kernel_not_included():
         bn.recover_rho_hat(cp2, blocks)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_recover_rejects_non_finite_blocks(value):
+    # a NaN drops out of max() and of every bound, and inf warns in matmul,
+    # so both are rejected before any arithmetic
+    s4 = ss.catalog("S4")
+    bundle = bn.induce(s4, reps.from_descriptor("spin4:(1,0)"))
+    blocks = np.full_like(bundle.blocks, value)
+    with pytest.raises(bn.NotFinite):
+        bn.recover_rho_hat(s4, blocks)
+    bad = dataclasses.replace(bundle, blocks=blocks)
+    assert bn.roundtrip_residual(bad) is None
+
+
 def test_char_numbers_s2():
     s2 = ss.catalog("S2")
     for k in range(-5, 6):

@@ -90,6 +90,22 @@ def test_verify_reducible_schur_not_applicable(capsys):
     assert data["all_passed"] is True
 
 
+def test_verify_schur_honours_tol(capsys):
+    # sampling leaves a deviation of about 1.3e-15 on this irreducible
+    _, out = run(capsys, "verify", "S4", "spin4:(1,0)", "--tol", "1e-30")
+    schur = json.loads(out)["checks"]["schur_constancy"]
+    assert schur["irreducible"] and schur["status"] == "fail"
+    assert 0 < schur["max_deviation"] < 1e-12
+
+
+def test_verify_rank_zero(capsys):
+    # a rank-0 bundle: the commutant has no unknowns and an empty basis
+    code, out = run(capsys, "verify", "S4", "trivial:0", "--samples", "10")
+    assert code == cli.EXIT_OK
+    data = json.loads(out)
+    assert data["all_passed"] and data["rank"] == 0
+
+
 def test_verify_bad_descriptor(capsys):
     code, _ = run(capsys, "verify", "S4", "spin4:(1")
     assert code == cli.EXIT_PARSE_ERROR
@@ -361,11 +377,20 @@ def test_verify_spinor8_peak_memory():
 
 def test_verify_spinor_sum_peak_memory():
     # the commutant's (21504, 256) system, held whole, took about 90 MB;
-    # one generator's 1024 rows of it take about 45 MB
+    # its closed-form normal matrix takes this to about 43 MB
     out, peak_kb = _peak_rss_run("verify", "S7", "sum(spinor:7,spinor:7)",
                                  "--samples", "10")
     assert json.loads(out)["all_passed"]
     assert peak_kb < 60 * 1024  # KiB on Linux
+
+
+def test_verify_spin4_peak_memory():
+    # the commutant's constraint system took this to about 124 MB; its
+    # closed-form normal matrix takes about 54 MB
+    out, peak_kb = _peak_rss_run("verify", "S4", "spin4:(12,12)",
+                                 "--samples", "10")
+    assert json.loads(out)["all_passed"]
+    assert peak_kb < 80 * 1024  # KiB on Linux
 
 
 def test_info_product_space_peak_memory():

@@ -261,7 +261,9 @@ def test_commutant_matches_kron_system():
     singles = [fund, reps.spin4_irrep(2, 1), reps.su2_irrep(3),
                reps.from_descriptor("sum(spin4:(1,0),spin4:(1,0))")]
     singles += [reps.spin_fundamental(n) for n in (5, 6, 7)]
+    singles.append(reps.from_descriptor("sum(spinor:5,spinor:5,spinor:5)"))
     assert len(reps.commutant_basis(singles[3])) == 16
+    assert len(reps.commutant_basis(singles[-1])) == 36
     for rep in singles:
         _assert_same_commutant(rep)
     # a pair's intertwiners are a block of the commutant of its sum
@@ -291,6 +293,9 @@ def test_equivalent_matches_svd_only_path():
         pool = _pool(name, rank)
         for r1, r2 in itertools.product(pool, pool):
             assert reps.equivalent(r1, r2) == _equivalent_ref(r1, r2)
+    # rank 0: the empty map is an isomorphism
+    so4 = liealg.make_so(4)
+    assert reps.equivalent(reps.trivial_rep(so4, 0), reps.trivial_rep(so4, 0))
     # the CP2 pool leaves out the twisted fundamentals of u(2) with k >= 0
     # below the cap, because fund:(2,k) = fund:(2,-1-k) as real reps
     for k in range(6):
