@@ -31,7 +31,6 @@ from .linalg import (
     project,
     row_chunks,
     row_norms,
-    solve_on_image,
 )
 from .reps import SourceMismatch
 
@@ -152,7 +151,8 @@ def check_bracket_identity(bundle, tol=None) -> IdentityReport:
     res = bracket_residuals(bundle, np.repeat(eye, nb, axis=0),
                             np.tile(eye, (nb, 1)))
     worst = float(res.max(initial=0.0))
-    witness = divmod(int(res.argmax()), nb) if worst > tol else None
+    # a NaN residual fails too; argmax names the first one
+    witness = None if worst <= tol else divmod(int(res.argmax()), nb)
     return IdentityReport(worst <= tol, worst, witness)
 
 
@@ -162,7 +162,7 @@ def check_kernel_inclusion(bundle, tol=None) -> IdentityReport:
     ker = ex.to_float(bundle.curv.kernel_basis)
     res = np.abs(bundle.value(ker.T)).max(axis=(-2, -1), initial=0.0)
     worst = float(res.max(initial=0.0))
-    witness = int(res.argmax()) if worst > tol else None
+    witness = None if worst <= tol else int(res.argmax())
     return IdentityReport(worst <= tol, worst, witness)
 
 
@@ -187,12 +187,10 @@ def recover_rho_hat(space, blocks) -> RecoveredHom:
         raise KernelNotIncluded(
             f"candidate curvature does not vanish on ker R^M "
             f"(kernel vector {bad[0]})")
-    img = ex.to_float(curv.image_basis)
-    if img.shape[1]:
-        img, _ = np.linalg.qr(img)
-    images = np.zeros((img.shape[1], blocks.shape[1], blocks.shape[1]))
-    for t in range(img.shape[1]):
-        images[t] = combine(solve_on_image(curv.eigendata, img[:, t]), blocks)
+    # image column s is R^M e_{c_s}, so rho-hat sends it to blocks[c_s]; the
+    # orthonormal img = image_basis r^-1 goes to the same combinations
+    img, r = np.linalg.qr(ex.to_float(curv.image_basis))
+    images = combine(np.linalg.inv(r).T, blocks[curv.image_cols])
     # homomorphism residual on the holonomy algebra, over all pairs i < j
     (pi, pj), n, worst = np.triu_indices(img.shape[1], 1), space.m_dim, 0.0
     for s in row_chunks(len(pi), max(blocks.shape[1], n) ** 2):

@@ -83,7 +83,6 @@ def pair_index(n):
 @dataclass
 class EigenDecomposition:
     pairs: list  # [(eigenvalue, orthonormal basis as columns)]
-    kernel: np.ndarray  # columns spanning the 0-eigenspace (may be empty)
 
 
 def skew_from_bivector_coeffs(coeffs, n):
@@ -158,42 +157,15 @@ def eig_sym(m) -> EigenDecomposition:
     kernel, with eigenvalue exactly 0.0."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
-        return EigenDecomposition(pairs=[], kernel=np.zeros((0, 0)))
+        return EigenDecomposition(pairs=[])
     vals, vecs = np.linalg.eigh(m)
     gap = SQRT_EPS * np.abs(vals).max()
     bounds = [0, *(1 + np.flatnonzero(np.diff(vals) > gap)), len(vals)]
     pairs = []
-    kernel = np.zeros((m.shape[0], 0))
     for a, b in zip(bounds, bounds[1:]):
         lam = float(np.mean(vals[a:b]))
-        basis = vecs[:, a:b]
-        if abs(lam) <= gap:
-            kernel = basis
-            lam = 0.0
-        pairs.append((lam, basis))
+        pairs.append((0.0 if abs(lam) <= gap else lam, vecs[:, a:b]))
     recon = sum(lam * (basis @ basis.T) for lam, basis in pairs)
     if float(np.abs(recon - m).max()) > gap:
         raise NotSymmetric("spectral reconstruction residual exceeds tolerance")
-    return EigenDecomposition(pairs=pairs, kernel=kernel)
-
-
-def solve_on_image(eig: EigenDecomposition, y):
-    """Preimage of y under the operator with eigendata eig, restricted to
-    its image.
-
-    Requires y to lie in the image to within SQRT_EPS of its norm; the
-    returned x satisfies op(x) = y and is orthogonal to ker(op).
-    """
-    y = np.asarray(y, dtype=float)
-    x = np.zeros_like(y)
-    proj = np.zeros_like(y)
-    for lam, basis in eig.pairs:
-        if lam == 0.0:
-            continue
-        comp = basis.T @ y
-        proj += basis @ comp
-        x += basis @ (comp / lam)
-    resid = float(np.linalg.norm(y - proj))
-    if resid > SQRT_EPS * float(np.linalg.norm(y)):
-        raise NotInImage(f"projection residual {resid:.3e} exceeds tolerance")
-    return x
+    return EigenDecomposition(pairs=pairs)

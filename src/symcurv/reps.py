@@ -286,21 +286,15 @@ def _sym_traceless_basis(n):
         b[:k, :k] = np.eye(k)
         b[k, k] = -k
         basis.append(b / math.sqrt(k * (k + 1)))
-    return basis
+    return np.stack(basis)
 
 
 def sym2_traceless(rep):
-    """Induced action on traceless symmetric endomorphisms of the target."""
-    n = rep.target_dim
-    basis = _sym_traceless_basis(n)
-    nd = len(basis)
-    out = np.zeros((rep.source.dim, nd, nd))
-    for t in range(rep.source.dim):
-        m = rep.images[t]
-        for ci, b in enumerate(basis):
-            act = m @ b - b @ m
-            for ri, r in enumerate(basis):
-                out[t, ri, ci] = np.tensordot(r, act)
+    """Induced action on traceless symmetric endomorphisms of the target:
+    entry (t, r, c) is <basis_r, [rho_t, basis_c]>."""
+    basis = _sym_traceless_basis(rep.target_dim)
+    m = rep.images[:, None]
+    out = np.einsum("rij,tcij->trc", basis, m @ basis - basis @ m)
     return AlgebraRep(rep.source, out, label=f"S2_0({rep.label})")
 
 

@@ -95,8 +95,8 @@ class SymmetricSpaceModel:
         mat, hc = _curvature_matrix(self)
         kernel = ex.nullspace(mat)
         free = {np.flatnonzero(col)[-1] for col in kernel.T}
-        image = mat[:, [c for c in range(len(mat)) if c not in free]]
-        return CurvatureOperator(self.m_dim, mat, hc, kernel, image)
+        pivots = [c for c in range(len(mat)) if c not in free]
+        return CurvatureOperator(self.m_dim, mat, hc, kernel, pivots)
 
 
 @dataclass
@@ -105,11 +105,16 @@ class CurvatureOperator:
     matrix: np.ndarray  # exact Fractions, lexicographic bivector basis
     h_coeff: np.ndarray  # (N_biv, h_dim) Fractions: [x_a, x_b] in the h basis
     kernel_basis: np.ndarray  # exact columns
-    image_basis: np.ndarray  # exact columns
+    image_cols: list  # R^M's pivot columns: image_basis[:, s] = R^M e_{c_s}
 
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+    @property
+    def image_basis(self):
+        """Exact columns spanning Im R^M: R^M's pivot columns."""
+        return self.matrix[:, self.image_cols]
 
     @functools.cached_property
     def float_matrix(self):

@@ -10,6 +10,10 @@ fewer rows, so the residuals agree bit for bit; the closed form sums the
 normal matrix in a different order, so the commutant's basis agrees to
 rounding.
 
+symcurv reads rho-hat at R^M's pivot columns; recover() inverts R^M on
+each image vector through its eigendecomposition instead, so the images
+agree to rounding.
+
 The tests import it as a sibling module, like homomorphism.py.
 """
 
@@ -19,8 +23,8 @@ from symcurv import _exact as ex
 from symcurv import bundles as bn
 from symcurv import symspace as ss
 from symcurv.linalg import (
-    CHECK_TOL, SQRT_EPS, bivector_bracket, combine, null_cut,
-    project, row_norms, solve_on_image)
+    CHECK_TOL, SQRT_EPS, NotInImage, bivector_bracket, combine, null_cut,
+    project, row_norms)
 
 
 def basis_pairs(nb):
@@ -47,10 +51,38 @@ def check_bracket_identity(bundle, tol=None):
     return bn.IdentityReport(worst <= tol, worst, witness)
 
 
+def solve_on_image(eig, y):
+    """Preimage of y orthogonal to the kernel, under the operator with
+    eigendata eig; y has to lie in its image to within SQRT_EPS of its
+    norm."""
+    x = np.zeros_like(y)
+    proj = np.zeros_like(y)
+    for lam, basis in eig.pairs:
+        if lam == 0.0:
+            continue
+        comp = basis.T @ y
+        proj += basis @ comp
+        x += basis @ (comp / lam)
+    resid = float(np.linalg.norm(y - proj))
+    if resid > SQRT_EPS * float(np.linalg.norm(y)):
+        raise NotInImage(f"projection residual {resid:.3e} exceeds tolerance")
+    return x
+
+
+def hom_residual(img, images, n):
+    """Homomorphism residual of rho-hat images on the orthonormal columns
+    of img, over all pairs i < j at once."""
+    i, j = np.triu_indices(img.shape[1], 1)
+    coeffs, off = project(img, bivector_bracket(img.T[i], img.T[j], n))
+    rhs = images[i] @ images[j] - images[j] @ images[i]
+    return max(float(row_norms(off).max(initial=0.0)),
+               float(np.abs(combine(coeffs, images) - rhs).max(initial=0.0)))
+
+
 def recover(space, blocks):
     """(image basis, rho-hat images, homomorphism residual) as
     bundles.recover_rho_hat computes them, without its kernel check and
-    its rejection."""
+    its rejection, and with the images from the eigen-solve."""
     curv = ss.curvature_operator(space)
     blocks = np.asarray(blocks, dtype=float)
     img = ex.to_float(curv.image_basis)
@@ -59,13 +91,7 @@ def recover(space, blocks):
     images = np.zeros((img.shape[1], blocks.shape[1], blocks.shape[1]))
     for t in range(img.shape[1]):
         images[t] = combine(solve_on_image(curv.eigendata, img[:, t]), blocks)
-    i, j = np.triu_indices(img.shape[1], 1)
-    coeffs, off = project(img, bivector_bracket(img.T[i], img.T[j],
-                                                space.m_dim))
-    rhs = images[i] @ images[j] - images[j] @ images[i]
-    worst = max(float(row_norms(off).max(initial=0.0)),
-                float(np.abs(combine(coeffs, images) - rhs).max(initial=0.0)))
-    return img, images, worst
+    return img, images, hom_residual(img, images, space.m_dim)
 
 
 def commutant_basis(rep):

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import allpairs
 from symcurv import _exact as ex
 from symcurv import bundles as bn
 from symcurv import cli, liealg
 from symcurv import reps
 from symcurv import symspace as ss
 from symcurv.linalg import (
-    EPS, NotInImage, pair_index, skew_from_bivector_coeffs, solve_on_image)
+    EPS, NotInImage, pair_index, skew_from_bivector_coeffs)
 
 
 def test_tangent_bundle_reproduces_curvature_operator():
@@ -140,6 +141,27 @@ def test_recover_rejects_non_finite_blocks(value):
     assert bn.roundtrip_residual(bad) is None
 
 
+def test_nan_block_fails_the_identity_checks_with_a_witness():
+    # nan > tol is False: a NaN residual must still fail and name its pair
+    cp2 = ss.catalog("CP2")
+    good = bn.induce(cp2, reps.from_descriptor("fund:(2,1)",
+                                               source=cp2.isotropy_ref))
+    blocks = good.blocks.copy()
+    blocks[3] = np.nan
+    bundle = bn.InducedBundle(space=cp2, rep=good.rep, blocks=blocks,
+                              curv=good.curv)
+    nb = len(blocks)
+    eye = np.eye(nb)
+    res = bn.bracket_residuals(bundle, np.repeat(eye, nb, axis=0),
+                               np.tile(eye, (nb, 1)))
+    report = bn.check_bracket_identity(bundle)
+    assert not report.ok and np.isnan(report.max_residual)
+    assert report.witness == divmod(int(np.flatnonzero(np.isnan(res))[0]), nb)
+    report = bn.check_kernel_inclusion(bundle)
+    assert not report.ok and np.isnan(report.max_residual)
+    assert report.witness == 0
+
+
 def test_char_numbers_s2():
     s2 = ss.catalog("S2")
     for k in range(-5, 6):
@@ -204,7 +226,8 @@ def test_metric_rescaling(c):
         assert got_mults == mults, (name, c)
         assert np.allclose(got_lams, np.array(lams) / float(c), rtol=1e-12,
                            atol=0.0), (name, c)
-        assert got.eigendata.kernel.shape[1] == got.kernel_basis.shape[1]
+        assert sum(b.shape[1] for lam, b in got.eigendata.pairs
+                   if lam == 0.0) == got.kernel_basis.shape[1]
         want = ss.condition_a(space)
         report = ss.condition_a(scaled)
         assert (report.holds, report.dim_kernel, report.dim_span_bracket) == \
@@ -377,8 +400,24 @@ def _kernel_ref(bundle, tol):
                              witness if worst > tol else None)
 
 
+def _hom_residual_ref(img, images, n):
+    worst = 0.0
+    for i in range(img.shape[1]):
+        si = _skew_ref(img[:, i], n)
+        for j in range(i + 1, img.shape[1]):
+            sj = _skew_ref(img[:, j], n)
+            br = _biv_ref(si @ sj - sj @ si)
+            coeffs = img.T @ br
+            worst = max(worst, float(np.linalg.norm(br - img @ coeffs)))
+            lhs = np.tensordot(coeffs, images, axes=(0, 0))
+            rhs = images[i] @ images[j] - images[j] @ images[i]
+            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
+    return worst
+
+
 def _recover_ref(space, blocks, tol):
-    """Returns (image_basis, images, hom_residual), or raises."""
+    """Returns (image_basis, images, hom_residual), or raises; the images
+    come from inverting R^M through its eigendecomposition."""
     curv = ss.curvature_operator(space)
     blocks = np.asarray(blocks, dtype=float)
     n = space.m_dim
@@ -398,18 +437,8 @@ def _recover_ref(space, blocks, tol):
         img, _ = np.linalg.qr(img)
     images = np.zeros((img.shape[1], blocks.shape[1], blocks.shape[1]))
     for i in range(img.shape[1]):
-        images[i] = value(solve_on_image(curv.eigendata, img[:, i]))
-    worst = 0.0
-    for i in range(img.shape[1]):
-        si = _skew_ref(img[:, i], n)
-        for j in range(i + 1, img.shape[1]):
-            sj = _skew_ref(img[:, j], n)
-            br = _biv_ref(si @ sj - sj @ si)
-            coeffs = img.T @ br
-            worst = max(worst, float(np.linalg.norm(br - img @ coeffs)))
-            lhs = np.tensordot(coeffs, images, axes=(0, 0))
-            rhs = images[i] @ images[j] - images[j] @ images[i]
-            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
+        images[i] = value(allpairs.solve_on_image(curv.eigendata, img[:, i]))
+    worst = _hom_residual_ref(img, images, n)
     if worst > tol * max(1.0, scale * scale):
         raise bn.NotHomomorphism("reconstructed map is not a homomorphism",
                                  worst)
@@ -566,9 +595,12 @@ def test_batched_recover_matches_loop():
             assert got == want, case
             outcomes.add(want[0])
             continue
-        img, images, worst = want
-        assert got.hom_residual == worst, case
-        assert got.images.tobytes() == images.tobytes(), case
+        img, images, _ = want
+        scale = max(1.0, np.abs(blocks).max(initial=0.0))
+        assert np.abs(got.images - images).max(initial=0.0) <= 1e-12 * scale, \
+            case
+        assert got.hom_residual == _hom_residual_ref(
+            got.image_basis, got.images, space.m_dim), case
         assert got.image_basis.tobytes() == img.tobytes(), case
         if space.isotropy_ref is not None:
             want = _as_rep_images_ref(got)

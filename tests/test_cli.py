@@ -401,23 +401,27 @@ def test_info_product_space_peak_memory():
     assert peak_kb < 70 * 1024  # KiB on Linux
 
 
-# Prints the symcurv modules loaded after `import symcurv.cli` and, given
-# arguments, after cli.main ran them. A fresh interpreter is needed: pytest
-# has imported every module into this one.
+# Prints the symcurv modules, and numpy.random if it is loaded, after
+# `import symcurv.cli` and, given arguments, after cli.main ran them. A
+# fresh interpreter is needed: pytest has imported every module into this
+# one.
 _LOADED_MODULES = (
     "import sys\n"
     "from symcurv import cli\n"
     "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "print(code, *(m for m in sys.modules if m.startswith('symcurv.')))\n"
+    "print(code, *(m for m in sys.modules\n"
+    "              if m.startswith('symcurv.') or m == 'numpy.random'))\n"
 )
 _BUNDLE_LAYERS = {"symcurv.bundles", "symcurv.reps", "symcurv.spherebundle"}
+# importing numpy.random adds about 6 MB of RSS; only verify samples
+_NO_SAMPLING = {"symcurv.spherebundle", "numpy.random"}
 
 
 @pytest.mark.parametrize("argv, absent", [
     ((), _BUNDLE_LAYERS),
-    (("info", "S7"), _BUNDLE_LAYERS),
-    (("classify", "S4", "--rank", "4"), {"symcurv.spherebundle"}),
-    (("charclasses", "CP2", "un_det:1"), {"symcurv.spherebundle"}),
+    (("info", "S7"), _BUNDLE_LAYERS | {"numpy.random"}),
+    (("classify", "S4", "--rank", "4"), _NO_SAMPLING),
+    (("charclasses", "CP2", "un_det:1"), _NO_SAMPLING),
 ])
 def test_command_loads_only_its_layers(argv, absent):
     res = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],

@@ -152,12 +152,28 @@ def test_so4_split_constants():
     assert ex.rank(np.concatenate([p, q])) == so4.dim
 
 
+def _sym2_traceless_loop(rep):
+    basis = reps._sym_traceless_basis(rep.target_dim)
+    out = np.zeros((rep.source.dim, len(basis), len(basis)))
+    for t in range(rep.source.dim):
+        m = rep.images[t]
+        for ci, b in enumerate(basis):
+            act = m @ b - b @ m
+            for ri, r in enumerate(basis):
+                out[t, ri, ci] = np.tensordot(r, act)
+    return out
+
+
 def test_sym2_traceless():
     fund = ss.isotropy_rep(ss.catalog("S3"))
     rep = reps.sym2_traceless(fund)
     assert rep.target_dim == 5
     assert validate_homomorphism(rep).ok
     assert reps.classify_type(rep).kind == "real"
+    for name in ("S2", "S3", "S4", "S5"):
+        fund = ss.isotropy_rep(ss.catalog(name))
+        got = reps.sym2_traceless(fund).images
+        assert np.abs(got - _sym2_traceless_loop(fund)).max() <= 1e-12, name
 
 
 def test_direct_sum_and_source_mismatch():
