@@ -19,9 +19,7 @@ from . import liealg
 from . import reps as rp
 from . import symspace as ss
 from .linalg import (
-    CHECK_TOL,
     INTEGRALITY_TOL,
-    RECOVER_TOL,
     SQRT_EPS,
     NotInImage,
     bivector_bracket,
@@ -31,6 +29,7 @@ from .linalg import (
     project,
     row_chunks,
     row_norms,
+    within,
 )
 from .reps import SourceMismatch
 
@@ -143,29 +142,38 @@ def bracket_identity_residual(bundle, a, b):
     return float(bracket_residuals(bundle, [a], [b])[0])
 
 
+def _judge(res, scale_of, degree, tol=None, recover=False, witness=int):
+    """IdentityReport of the residuals res under linalg.within; a failing
+    one names the worst, or the first NaN, by witness(index)."""
+    worst = float(res.max(initial=0.0))
+    if within(worst, scale_of, degree, tol, recover):
+        return IdentityReport(True, worst)
+    return IdentityReport(False, worst, witness(int(res.argmax())))
+
+
 def check_bracket_identity(bundle, tol=None) -> IdentityReport:
     """Lemma-style bracket identity over all basis bivector pairs."""
-    tol = CHECK_TOL if tol is None else tol
     nb = bundle.blocks.shape[0]
     eye = np.eye(nb)
     res = bracket_residuals(bundle, np.repeat(eye, nb, axis=0),
                             np.tile(eye, (nb, 1)))
-    worst = float(res.max(initial=0.0))
-    # a NaN residual fails too; argmax names the first one
-    witness = None if worst <= tol else divmod(int(res.argmax()), nb)
-    return IdentityReport(worst <= tol, worst, witness)
+    return _judge(res, bundle.blocks, 2, tol, witness=lambda i: divmod(i, nb))
+
+
+def _kernel_report(curv, blocks, tol=None, recover=False):
+    """max |R^E v| for each vector v of the exact basis of ker R^M, judged."""
+    ker = ex.to_float(curv.kernel_basis)
+    res = np.abs(combine(ker.T, blocks)).max(axis=(-2, -1), initial=0.0)
+    return _judge(res, blocks, 1, tol, recover)
 
 
 def check_kernel_inclusion(bundle, tol=None) -> IdentityReport:
     """ker R^M subset ker R^E, tested on the exact kernel basis."""
-    tol = CHECK_TOL if tol is None else tol
-    ker = ex.to_float(bundle.curv.kernel_basis)
-    res = np.abs(bundle.value(ker.T)).max(axis=(-2, -1), initial=0.0)
-    worst = float(res.max(initial=0.0))
-    witness = None if worst <= tol else int(res.argmax())
-    return IdentityReport(worst <= tol, worst, witness)
+    return _kernel_report(bundle.curv, bundle.blocks, tol)
 
 
+# an overflowing product leaves an inf or NaN residual, which fails its bound
+@np.errstate(over="ignore", invalid="ignore")
 def recover_rho_hat(space, blocks) -> RecoveredHom:
     """Reconstruct rho-hat = R^E o (R^M)^{-1} on Im R^M and validate it.
 
@@ -177,42 +185,41 @@ def recover_rho_hat(space, blocks) -> RecoveredHom:
     blocks = np.asarray(blocks, dtype=float)
     if not np.isfinite(blocks).all():
         raise NotFinite("candidate curvature has a non-finite entry")
-    tol = RECOVER_TOL
     curv = ss.curvature_operator(space)
-    scale = max(1.0, np.abs(blocks).max(initial=0.0))
-    ker = ex.to_float(curv.kernel_basis)
-    on_ker = np.abs(combine(ker.T, blocks)).max(axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero(on_ker > tol * scale)
-    if len(bad):
+    kernel = _kernel_report(curv, blocks, recover=True)
+    if not kernel.ok:
         raise KernelNotIncluded(
             f"candidate curvature does not vanish on ker R^M "
-            f"(kernel vector {bad[0]})")
+            f"(kernel vector {kernel.witness})")
     # image column s is R^M e_{c_s}, so rho-hat sends it to blocks[c_s]; the
     # orthonormal img = image_basis r^-1 goes to the same combinations
     img, r = np.linalg.qr(ex.to_float(curv.image_basis))
     images = combine(np.linalg.inv(r).T, blocks[curv.image_cols])
-    # homomorphism residual on the holonomy algebra, over all pairs i < j
+    # homomorphism residual on the holonomy algebra, over all pairs i < j;
+    # np.max keeps a NaN, which max() would drop
     (pi, pj), n, worst = np.triu_indices(img.shape[1], 1), space.m_dim, 0.0
     for s in row_chunks(len(pi), max(blocks.shape[1], n) ** 2):
         i, j = pi[s], pj[s]
         coeffs, off = project(img, bivector_bracket(img.T[i], img.T[j], n))
         rhs = images[i] @ images[j] - images[j] @ images[i]
-        worst = max(worst, float(row_norms(off).max(initial=0.0)), float(
-            np.abs(combine(coeffs, images) - rhs).max(initial=0.0)))
-    if worst > tol * max(1.0, scale * scale):
+        worst = float(np.max([worst, row_norms(off).max(initial=0.0), np.abs(
+            combine(coeffs, images) - rhs).max(initial=0.0)]))
+    if not within(worst, blocks, 2, recover=True):
         raise NotHomomorphism("reconstructed map is not a homomorphism", worst)
     return RecoveredHom(space=space, image_basis=img, images=images,
                         hom_residual=worst)
 
 
-def roundtrip_residual(bundle):
+def check_roundtrip(bundle, tol=None) -> IdentityReport:
     """max |rho_back - rho| for the rep recovered from the bundle's
-    curvature, or None when the reconstruction fails."""
+    curvature; a failed reconstruction fails with residual None."""
     try:
         back = recover_rho_hat(bundle.space, bundle.blocks).as_rep()
     except (BundleError, NotInImage):
-        return None
-    return float(np.abs(back.images - bundle.rep.images).max(initial=0.0))
+        return IdentityReport(False, None)
+    images = bundle.rep.images
+    res = np.abs(back.images - images).max(axis=(-2, -1), initial=0.0)
+    return _judge(res, images, 1, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +431,13 @@ def _rep_type(rep):
 def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
     """Enumerate parallel bundles of rank <= rank_bound, one for each
     multiset of catalog irreducibles; the verification checks are judged
-    against tol (default CHECK_TOL).
+    at tol by linalg.within.
 
     The pool is irreducible and pairwise inequivalent, and the isotropy reps
     are orthogonal, so every sum splits uniquely into isotypic parts: two
     different multisets never give equivalent bundles. So each member is
     typed once, and a sum of two or more is reducible.
     """
-    tol = CHECK_TOL if tol is None else tol
     irreps = catalog_irreps(space, rank_bound, weight_cap=weight_cap)
     kinds = [_rep_type(r) for _, r in irreps]
     reports = []
@@ -449,14 +455,13 @@ def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
                 char = characteristic_numbers(bundle)
             except UnsupportedBase:
                 char = None
-            roundtrip = roundtrip_residual(bundle)
             reports.append(BundleReport(
                 label=lbl if len(nl) == 1 else "sum(" + ",".join(nl) + ")",
                 rank=nd, rep_type=kinds[i] if rep is None else "reducible",
                 components=nl, char=char,
                 bracket_ok=check_bracket_identity(bundle, tol=tol).ok,
                 kernel_ok=check_kernel_inclusion(bundle, tol=tol).ok,
-                roundtrip_ok=roundtrip is not None and roundtrip <= tol,
+                roundtrip_ok=check_roundtrip(bundle, tol=tol).ok,
             ))
             extend(i, nl, combined, nd)
 

@@ -60,6 +60,19 @@ CHECK_TOL = 10 * EPS
 RECOVER_TOL = 100 * EPS
 # default distance from an integer that charclasses accepts as integral
 INTEGRALITY_TOL = 1e-6
+
+
+def within(residual, scale_of=0.0, degree=1, tol=None, recover=False):
+    """The one check rule: residual / max(1, max|scale_of|) ** degree <= tol
+    (CHECK_TOL when None, RECOVER_TOL with recover), divided once per degree
+    so as not to overflow. A NaN or inf residual or scale fails."""
+    scale = float(np.abs(scale_of).max(initial=0.0))
+    bound = tol if tol is not None else RECOVER_TOL if recover else CHECK_TOL
+    for _ in range(degree):
+        residual /= max(1.0, scale)
+    return bool(residual <= bound) and math.isfinite(scale)
+
+
 # ---------------------------------------------------------------------------
 
 

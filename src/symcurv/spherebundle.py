@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CHECK_TOL, SQRT_EPS
+from .linalg import SQRT_EPS, within
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def c_tilde(bundle) -> CtildeResult:
     resid = float(np.abs(op - c * np.eye(k)).max(initial=0.0))
     return CtildeResult(
         operator=op,
-        is_multiple_of_identity=resid <= CHECK_TOL * max(1.0, abs(c)),
+        is_multiple_of_identity=within(resid, c),
         constant=c, residual=resid,
     )
 
@@ -65,7 +65,6 @@ def c_of(ct, u):
 
 def schur_constancy_check(bundle, samples=1000, seed=0, tol=None):
     """Sample C(u) on random unit vectors and compare with tr(C~)/k."""
-    tol = CHECK_TOL if tol is None else tol
     ct = c_tilde(bundle)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -74,7 +73,7 @@ def schur_constancy_check(bundle, samples=1000, seed=0, tol=None):
         u /= np.linalg.norm(u)
         worst = max(worst, abs(c_of(ct, u) - ct.constant))
     return ConstancyReport(
-        ok=worst <= tol * max(1.0, abs(ct.constant)),
+        ok=within(worst, ct.constant, tol=tol),
         constant=ct.constant, max_deviation=worst, samples=samples,
     )
 

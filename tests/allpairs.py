@@ -23,8 +23,8 @@ from symcurv import _exact as ex
 from symcurv import bundles as bn
 from symcurv import symspace as ss
 from symcurv.linalg import (
-    CHECK_TOL, SQRT_EPS, NotInImage, bivector_bracket, combine, null_cut,
-    project, row_norms)
+    SQRT_EPS, NotInImage, bivector_bracket, combine, null_cut,
+    project, row_norms, within)
 
 
 def basis_pairs(nb):
@@ -43,12 +43,12 @@ def bracket_residuals(bundle, a, b):
 
 
 def check_bracket_identity(bundle, tol=None):
-    tol = CHECK_TOL if tol is None else tol
     nb = bundle.blocks.shape[0]
     res = bracket_residuals(bundle, *basis_pairs(nb))
     worst = float(res.max(initial=0.0))
-    witness = divmod(int(res.argmax()), nb) if worst > tol else None
-    return bn.IdentityReport(worst <= tol, worst, witness)
+    ok = within(worst, bundle.blocks, 2, tol)
+    return bn.IdentityReport(ok, worst,
+                             None if ok else divmod(int(res.argmax()), nb))
 
 
 def solve_on_image(eig, y):

@@ -13,9 +13,10 @@ from symcurv import _exact as ex
 from symcurv import bundles as bn
 from symcurv import cli, liealg
 from symcurv import reps
+from symcurv import spherebundle as sb
 from symcurv import symspace as ss
 from symcurv.linalg import (
-    EPS, NotInImage, pair_index, skew_from_bivector_coeffs)
+    EPS, NotInImage, pair_index, skew_from_bivector_coeffs, within)
 
 
 def test_tangent_bundle_reproduces_curvature_operator():
@@ -138,7 +139,11 @@ def test_recover_rejects_non_finite_blocks(value):
     with pytest.raises(bn.NotFinite):
         bn.recover_rho_hat(s4, blocks)
     bad = dataclasses.replace(bundle, blocks=blocks)
-    assert bn.roundtrip_residual(bad) is None
+    assert bn.check_roundtrip(bad) == bn.IdentityReport(False, None)
+    # finite, but its products overflow: the NaN they leave has to fail
+    # the homomorphism bound, which must not overflow either
+    with pytest.raises(bn.NotHomomorphism):
+        bn.recover_rho_hat(s4, 1e160 * bundle.blocks)
 
 
 def test_nan_block_fails_the_identity_checks_with_a_witness():
@@ -205,6 +210,7 @@ def test_char_rescale_invariance():
 
 _RESCALE_SPACES = ("S2", "S4", "CP2", "S2xS3")
 _RESCALE_BUNDLES = (("S2", "spin2:1"), ("S4", "spin4:(1,0)"),
+                    ("S4", "spin4:(1,1)"), ("S4", "spin4:(3,2)"),
                     ("CP1", "det:(1,1)"))
 
 
@@ -236,9 +242,16 @@ def test_metric_rescaling(c):
         space = ss.catalog(name)
         rep = reps.from_descriptor(desc, source=space.isotropy_ref)
         want = bn.characteristic_numbers(bn.induce(space, rep)).to_dict()
-        got = bn.characteristic_numbers(
-            bn.induce(ss.rescale_metric(space, c), rep)).to_dict()
+        bundle = bn.induce(ss.rescale_metric(space, c), rep)
+        got = bn.characteristic_numbers(bundle).to_dict()
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (name, c)
+        # and so do the check verdicts
+        for check in (bn.check_bracket_identity, bn.check_kernel_inclusion,
+                      bn.check_roundtrip):
+            assert check(bundle).ok, (name, desc, c, check.__name__)
+        if reps.is_irreducible(rep):
+            assert sb.schur_constancy_check(bundle, samples=50).ok, \
+                (name, desc, c)
 
 
 def _rotated_frame(space, skew):
@@ -384,20 +397,26 @@ def _bracket_ref(bundle, tol):
             r = _residual_ref(bundle, eye[p], eye[q])
             if r > worst:
                 worst, witness = r, (p, q)
-    return bn.IdentityReport(worst <= tol, worst,
-                             witness if worst > tol else None)
+    ok = within(worst, bundle.blocks, 2, tol)
+    return bn.IdentityReport(ok, worst, None if ok else witness)
 
 
-def _kernel_ref(bundle, tol):
-    ker = ex.to_float(bundle.curv.kernel_basis)
+def _kernel_vector_ref(blocks, ker):
+    """Worst |R^E v| over the columns v of ker, and the first that has it."""
     worst, witness = 0.0, None
     for i in range(ker.shape[1]):
-        r = float(np.abs(np.tensordot(ker[:, i], bundle.blocks,
+        r = float(np.abs(np.tensordot(ker[:, i], blocks,
                                       axes=(0, 0))).max(initial=0.0))
         if r > worst:
             worst, witness = r, i
-    return bn.IdentityReport(worst <= tol, worst,
-                             witness if worst > tol else None)
+    return worst, witness
+
+
+def _kernel_ref(bundle, tol):
+    worst, witness = _kernel_vector_ref(
+        bundle.blocks, ex.to_float(bundle.curv.kernel_basis))
+    ok = within(worst, bundle.blocks, 1, tol)
+    return bn.IdentityReport(ok, worst, None if ok else witness)
 
 
 def _hom_residual_ref(img, images, n):
@@ -415,23 +434,22 @@ def _hom_residual_ref(img, images, n):
     return worst
 
 
-def _recover_ref(space, blocks, tol):
+def _recover_ref(space, blocks):
     """Returns (image_basis, images, hom_residual), or raises; the images
     come from inverting R^M through its eigendecomposition."""
     curv = ss.curvature_operator(space)
     blocks = np.asarray(blocks, dtype=float)
     n = space.m_dim
-    scale = max(1.0, np.abs(blocks).max(initial=0.0))
 
     def value(coeffs):
         return np.tensordot(coeffs, blocks, axes=(0, 0))
 
-    ker = ex.to_float(curv.kernel_basis)
-    for i in range(ker.shape[1]):
-        if np.abs(value(ker[:, i])).max(initial=0.0) > tol * scale:
-            raise bn.KernelNotIncluded(
-                f"candidate curvature does not vanish on ker R^M "
-                f"(kernel vector {i})")
+    worst, witness = _kernel_vector_ref(blocks,
+                                        ex.to_float(curv.kernel_basis))
+    if not within(worst, blocks, 1, recover=True):
+        raise bn.KernelNotIncluded(
+            f"candidate curvature does not vanish on ker R^M "
+            f"(kernel vector {witness})")
     img = ex.to_float(curv.image_basis)
     if img.shape[1]:
         img, _ = np.linalg.qr(img)
@@ -439,7 +457,7 @@ def _recover_ref(space, blocks, tol):
     for i in range(img.shape[1]):
         images[i] = value(allpairs.solve_on_image(curv.eigendata, img[:, i]))
     worst = _hom_residual_ref(img, images, n)
-    if worst > tol * max(1.0, scale * scale):
+    if not within(worst, blocks, 2, recover=True):
         raise bn.NotHomomorphism("reconstructed map is not a homomorphism",
                                  worst)
     return img, images, worst
@@ -500,11 +518,10 @@ def test_batched_induce_matches_loop():
 def test_batched_identity_checks_match_loops():
     for case, b in _guard_bundles():
         for tol in (None, 0.0, 1e-8):
-            want_tol = 10 * EPS if tol is None else tol
             assert bn.check_bracket_identity(b, tol=tol) == \
-                _bracket_ref(b, want_tol), (case, tol)
+                _bracket_ref(b, tol), (case, tol)
             assert bn.check_kernel_inclusion(b, tol=tol) == \
-                _kernel_ref(b, want_tol), (case, tol)
+                _kernel_ref(b, tol), (case, tol)
 
 
 def test_batched_random_pair_residuals_match_loop():
@@ -589,7 +606,7 @@ def test_batched_recover_matches_loop():
               ("R2 random", r2, rng.standard_normal((1, 2, 2)))]
     outcomes = set()
     for case, space, blocks in cases:
-        want = _outcome(_recover_ref, space, blocks, 100 * EPS)
+        want = _outcome(_recover_ref, space, blocks)
         got = _outcome(bn.recover_rho_hat, space, blocks)
         if isinstance(want, tuple) and isinstance(want[0], type):
             assert got == want, case

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import dataclasses
+import fcntl
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,6 +341,47 @@ def test_tiny_symcurv_tol_still_builds_real_forms():
                          text=True)
     assert res.returncode == cli.EXIT_CHECK_FAILED and res.stderr == ""
     assert json.loads(res.stdout)["checks"]["schur_constancy"]["irreducible"]
+
+
+def test_check_verdicts_follow_a_rescaled_metric(tmp_path):
+    # S4 of radius 1e-3: R^M and every block grow by 1e6, and so does each
+    # residual, to the degree of its check; the verdicts must not move
+    space = dataclasses.replace(
+        ss.rescale_metric(ss.catalog("S4"), Fraction(1, 10**6)), name="S4mm")
+    path = tmp_path / "spaces.txt"
+    path.write_text(ss.space_to_text(space))
+    common = ["--config", str(path), "--samples", "50"]
+    res = subprocess.run([sys.executable, "-m", "symcurv.cli", "verify",
+                          "S4mm", "spin4:(3,2)", *common], env=_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == cli.EXIT_OK, res.stdout + res.stderr
+    assert json.loads(res.stdout)["all_passed"]
+    res = subprocess.run([sys.executable, "-m", "symcurv.cli", "classify",
+                          "S4mm", "--rank", "4", "--config", str(path)],
+                         env=_env(), capture_output=True, text=True)
+    assert res.returncode == cli.EXIT_OK, res.stderr
+    bundles = json.loads(res.stdout)["bundles"]
+    assert len(bundles) == 11
+    assert all(all(b["verified"].values()) for b in bundles), bundles
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader takes one line and closes the pipe while the command is
+    # still writing: a pipe of one page holds less than its 16 kB, so the
+    # write after the close always fails
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "symcurv.cli", "classify",
+                             "CP2", "--rank", "4"], env=_env(),
+                            stdout=write_fd, stderr=subprocess.PIPE)
+    os.close(write_fd)
+    first = b""
+    while not first.endswith(b"\n"):
+        first += os.read(read_fd, 1)
+    os.close(read_fd)
+    _, err = proc.communicate()
+    assert first == b"{\n"
+    assert (proc.returncode, err) == (cli.EXIT_OK, b"")
 
 
 # Runs argv and prints its exit code and ru_maxrss, then its stdout. A

@@ -99,34 +99,62 @@ def test_int_matmul_matches_python_int_product():
         assert np.array_equal(got, a.astype(object) @ b.astype(object))
 
 
+def _reads(tree, name):
+    """Line numbers at which tree loads, imports or takes attribute name."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.ImportFrom)
+            and any(a.name == name for a in node.names)]
+
+
 def test_tolerances_live_in_the_table():
-    # float tolerance literals only in linalg's table, and SYMCURV_TOL (EPS)
-    # read only by the check bounds defined there
+    # float tolerance literals only in linalg's table, SYMCURV_TOL (EPS)
+    # read only by the check bounds defined there, and those bounds read
+    # only by linalg.within, the one rule that judges every check
     src = Path(la.__file__).parent
     lines = Path(la.__file__).read_text().splitlines()
     start = lines.index("# tolerance table")
     end = next(i for i in range(start, len(lines))
                if lines[i].startswith("# ---"))
-    bounds = set()
+    bounds, rule = set(), set()
     for node in ast.parse("\n".join(lines)).body:
         if isinstance(node, ast.Assign) and getattr(
                 node.targets[0], "id", None) in ("CHECK_TOL", "RECOVER_TOL"):
             bounds.add(node.lineno)
-    assert len(bounds) == 2
-    literals, eps_reads = [], []
+        if isinstance(node, ast.FunctionDef) and node.name == "within":
+            rule = set(range(node.lineno, node.end_lineno + 1))
+    assert len(bounds) == 2 and start < min(rule) < max(rule) < end
+    literals, eps_reads, bound_reads = [], [], []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
+        tree = ast.parse(text)
         is_linalg = path.name == "linalg.py"
         for i, line in enumerate(text.splitlines()):
             if re.search(r"[0-9]e-[0-9]", line) and not (
                     is_linalg and start < i < end):
                 literals.append(f"{path.name}:{i + 1}: {line.strip()}")
-        for node in ast.walk(ast.parse(text)):
-            read = (isinstance(node, ast.Name) and node.id == "EPS"
-                    and isinstance(node.ctx, ast.Load)
-                    or isinstance(node, ast.Attribute) and node.attr == "EPS"
-                    or isinstance(node, ast.ImportFrom)
-                    and any(a.name == "EPS" for a in node.names))
-            if read and not (is_linalg and node.lineno in bounds):
-                eps_reads.append(f"{path.name}:{node.lineno}")
-    assert not literals and not eps_reads
+        eps_reads += [f"{path.name}:{i}" for i in _reads(tree, "EPS")
+                      if not (is_linalg and i in bounds)]
+        bound_reads += [f"{path.name}:{i}" for name in ("CHECK_TOL",
+                                                        "RECOVER_TOL")
+                        for i in _reads(tree, name)
+                        if not (is_linalg and i in rule)]
+    assert not literals and not eps_reads and not bound_reads
+
+
+def test_within_divides_once_per_degree():
+    tol = la.CHECK_TOL
+    assert la.within(tol) and not la.within(2 * tol)
+    assert la.within(2 * tol, tol=2 * tol)
+    # the floor of 1: a small scale never tightens the bound
+    assert la.within(tol, 1e-6, 2) and not la.within(2 * tol, 1e-6, 2)
+    assert la.within(5e5 * tol, 1e6) and not la.within(5e5 * tol, 1e5)
+    assert la.within(5e11 * tol, 1e6, 2) and not la.within(5e11 * tol, 1e6)
+    assert la.within(5 * tol, recover=True)
+    # tol * scale ** 2 is inf here, which an inf residual would meet
+    assert la.within(1e300, 1e160, 2) and not la.within(np.inf, 1e160, 2)
+    for bad in (np.nan, np.inf):
+        assert not la.within(bad) and not la.within(bad, 1e300, 2)
+        assert not la.within(0.0, bad)

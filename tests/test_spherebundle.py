@@ -53,6 +53,16 @@ def test_schur_constancy_reducible_fails():
     assert rep.max_deviation > 1e-3
 
 
+def test_schur_check_fails_a_nan_block():
+    # max() drops the NaN deviations, but the NaN constant fails the bound
+    good = _bundle("S4", "spin4:(1,0)")
+    blocks = good.blocks.copy()
+    blocks[0, 0, 1] = np.nan
+    bad = bn.InducedBundle(good.space, good.rep, blocks, good.curv)
+    assert not sb.c_tilde(bad).is_multiple_of_identity
+    assert not sb.schur_constancy_check(bad, samples=20).ok
+
+
 def test_c_of_unit_vectors():
     b = _bundle("S4", "spin4:(1,0)")
     ct = sb.c_tilde(b)
