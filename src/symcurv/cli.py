@@ -114,28 +114,6 @@ def _config_blocks(path):
     return [b for b in text.split("\n\n") if b.strip()]
 
 
-_REP_ALIASES = {"un_det": "det", "un_fund": "fund", "spin_fund": "spinor"}
-
-
-def parse_rep(desc, space):
-    """Rep descriptor with CLI conveniences: un_det:k / un_fund:k pick up the
-    complex rank from a CP^n base; spin_fund is an alias for spinor."""
-    from . import reps as rp
-    desc = desc.strip()
-    for alias, canon in _REP_ALIASES.items():
-        if desc.startswith(alias + ":"):
-            param = desc[len(alias) + 1 :]
-            if canon in ("det", "fund") and not param.startswith("("):
-                cn = getattr(space.isotropy_ref, "complex_n", None)
-                if cn is None:
-                    raise rp.DescriptorError(
-                        f"{alias}:k needs a CP^n base to infer n")
-                param = f"({cn},{param})"
-            desc = f"{canon}:{param}"
-            break
-    return rp.from_descriptor(desc, source=space.isotropy_ref)
-
-
 def cmd_info(args):
     space = load_space(args.space, args.config)
     curv = ss.curvature_operator(space)
@@ -184,13 +162,14 @@ def cmd_classify(args):
                               for v in row) for row in rows)
     else:
         emit(data, args.output, csv_rows=rows)
-    return EXIT_OK
+    ok = all(r.bracket_ok and r.kernel_ok and r.roundtrip_ok for r in reports)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_verify(args):
     from . import bundles as bn, reps as rp, spherebundle as sb
     space = load_space(args.space, args.config)
-    rep = parse_rep(args.rep, space)
+    rep = rp.from_descriptor(args.rep, source=space.isotropy_ref)
     bundle = bn.induce(space, rep)
     # 50 random pairs, drawn a then b per pair, judged at ten times the bound
     ab = np.random.default_rng(args.seed).standard_normal(
@@ -226,9 +205,9 @@ def cmd_verify(args):
 
 
 def cmd_charclasses(args):
-    from . import bundles as bn
+    from . import bundles as bn, reps as rp
     space = load_space(args.space, args.config)
-    rep = parse_rep(args.rep, space)
+    rep = rp.from_descriptor(args.rep, source=space.isotropy_ref)
     tol = args.tol or linalg.INTEGRALITY_TOL
     cn = getattr(space.isotropy_ref, "complex_n", None)  # n of CP^n's u(n)
     if cn and space.m_dim > 2 and space.m_dim - space.flat_dim == 2 * cn:
@@ -260,8 +239,15 @@ def _add_common(parser, suppress=False):
                              "(serialization format)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so main reports them as every parse error."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="symcurv",
         description="Curvature of parallel connections over symmetric spaces",
     )
@@ -300,14 +286,18 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    bad_tol = args.tol is not None and not 0 < args.tol < float("inf")
-    low = [f"--{o.replace('_', '-')} must be at least {m}" for o, m in dict(
-        samples=1, rank=0, weight_cap=0).items() if getattr(args, o, m) < m]
-    error = ("tolerance must be positive" if bad_tol else
-             low[0] if low else linalg.EPS_ERROR)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
+    try:
+        args = parser.parse_args(argv)
+        bad_tol = args.tol is not None and not 0 < args.tol < float("inf")
+        low = [f"--{o.replace('_', '-')} must be at least {m}" for o, m in
+               dict(samples=1, rank=0, weight_cap=0).items()
+               if getattr(args, o, m) < m]
+        error = ("tolerance must be positive" if bad_tol else
+                 low[0] if low else linalg.EPS_ERROR)
+        if error:
+            parser.error(error)
+    except argparse.ArgumentError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
         return args.func(args)

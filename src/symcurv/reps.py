@@ -10,7 +10,7 @@ else = reducible.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -69,22 +69,29 @@ class RepType:
     witness: np.ndarray | None = None
 
 
-def _realify_linear(m):
-    """Complex matrix acting C^n -> real 2n x 2n in the (Re, Im) splitting."""
-    a, b = m.real, m.imag
-    return np.block([[a, -b], [b, a]])
+def _complex_rep(source, images, label, jmat=None, sign=0):
+    """Realify complex images (dim, n, n) in the (Re, Im) splitting of C^n.
+
+    J_c is multiplication by i. jmat, when given, is the matrix of the
+    antilinear structure map v -> jmat @ conj(v), which squares to sign * I.
+    """
+    a, b, i = images.real, images.imag, np.eye(images.shape[-1])
+    z = np.zeros_like(i)
+    smap = None if jmat is None else np.block(
+        [[jmat.real, jmat.imag], [jmat.imag, -jmat.real]])
+    return AlgebraRep(source, np.block([[a, -b], [b, a]]), label,
+                      complex_structure=np.block([[z, -i], [i, z]]),
+                      structure_map=smap, structure_sign=sign)
 
 
-def _realify_antilinear(m):
-    """v -> m @ conj(v) as a real-linear map on R^{2n}."""
-    a, b = m.real, m.imag
-    return np.block([[a, b], [b, -a]])
-
-
-def _jc(n):
-    z = np.zeros((n, n))
-    i = np.eye(n)
-    return np.block([[z, -i], [i, z]])
+def _complex_images(alg):
+    """Complex matrices of the basis of su(n) or u(n), shape (dim, n, n)."""
+    n = alg.complex_n
+    out = np.zeros((alg.dim, n, n), dtype=complex)
+    for t, m in enumerate(alg.matrices):
+        x, y = liealg.complex_parts(m)
+        out.real[t], out.imag[t] = ex.to_float(x), ex.to_float(y)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +112,8 @@ def spin2_irrep(k):
     """
     if k == 0:
         raise DescriptorError("k = 0 is the trivial weight; use trivial_rep")
-    so2 = liealg.make_so(2)
-    img = np.array([[[0.0, -k / 2], [k / 2, 0.0]]])
-    return AlgebraRep(
-        source=so2, images=img, label=f"spin2:{k}", complex_structure=_jc(1),
-    )
+    return _complex_rep(liealg.make_so(2), np.array([[[complex(0, k / 2)]]]),
+                        f"spin2:{k}")
 
 
 def _su2_complex(k):
@@ -121,23 +125,17 @@ def _su2_complex(k):
     antilinear structure-map matrix, m_r -> (-1)^r m_{k-r}.
     """
     su2 = liealg.make_su(2)
-    images = np.zeros((3, k + 1, k + 1), dtype=complex)
-    for t, mat in enumerate(su2.matrices):
-        x, y = liealg.complex_parts(mat)
-        xc = ex.to_float(x) + 1j * ex.to_float(y)
-        a, b, c, d = xc[0, 0], xc[0, 1], xc[1, 0], xc[1, 1]
-        dm = np.zeros((k + 1, k + 1), dtype=complex)
-        for r in range(k + 1):
-            dm[r, r] = r * a + (k - r) * d
-            if r >= 1:
-                dm[r - 1, r] = b * math.sqrt(r * (k - r + 1))
-            if r <= k - 1:
-                dm[r + 1, r] = c * math.sqrt((k - r) * (r + 1))
-        images[t] = -dm
+    a, b, c, d = _complex_images(su2).reshape(3, 4).T[:, :, None]
+    # dm[r-1, r] = b sqrt(r(k-r+1)) and dm[r+1, r] = c sqrt((k-r)(r+1))
+    r = np.arange(k + 1)
+    w = np.sqrt(r[1:] * (k + 1 - r[1:]))
+    dm = np.zeros((3, k + 1, k + 1), dtype=complex)
+    dm[:, r, r] = r * a + (k - r) * d
+    dm[:, r[:-1], r[1:]] = b * w
+    dm[:, r[1:], r[:-1]] = c * w
     jmat = np.zeros((k + 1, k + 1), dtype=complex)
-    for r in range(k + 1):
-        jmat[k - r, r] = (-1) ** r
-    return su2, images, jmat
+    jmat[k - r, r] = (-1) ** r
+    return su2, -dm, jmat
 
 
 def su2_irrep(k):
@@ -145,14 +143,7 @@ def su2_irrep(k):
     if k < 0:
         raise DescriptorError("k must be nonnegative")
     su2, images, jmat = _su2_complex(k)
-    return AlgebraRep(
-        source=su2,
-        images=np.stack([_realify_linear(m) for m in images]),
-        label=f"su2:{k}",
-        complex_structure=_jc(k + 1),
-        structure_map=_realify_antilinear(jmat),
-        structure_sign=(-1) ** k,
-    )
+    return _complex_rep(su2, images, f"su2:{k}", jmat, (-1) ** k)
 
 
 def real_form(rep):
@@ -201,15 +192,8 @@ def spin4_irrep(k1, k2):
         a = np.tensordot(cp[t], im1, axes=(0, 0))
         b = np.tensordot(cq[t], im2, axes=(0, 0))
         images[t] = np.kron(a, np.eye(n2)) + np.kron(np.eye(n1), b)
-    jmat = np.kron(j1, j2)
-    rep = AlgebraRep(
-        source=so4,
-        images=np.stack([_realify_linear(m) for m in images]),
-        label=f"spin4:({k1},{k2})",
-        complex_structure=_jc(n1 * n2),
-        structure_map=_realify_antilinear(jmat),
-        structure_sign=(-1) ** (k1 + k2),
-    )
+    rep = _complex_rep(so4, images, f"spin4:({k1},{k2})", np.kron(j1, j2),
+                       (-1) ** (k1 + k2))
     if (k1 + k2) % 2 == 0:
         return real_form(rep).relabel(rep.label)
     return rep
@@ -225,12 +209,8 @@ def _gammas(n):
         raise UnsupportedDim("need n >= 2")
     if n % 2 == 1:
         # append i times the chirality element of the even case below
-        gam = list(_gammas(n - 1))
-        omega = np.eye(gam[0].shape[0], dtype=complex) * (-1j) ** ((n - 1) // 2)
-        for g in gam:
-            omega = omega @ g
-        gam.append(1j * omega)
-        return tuple(gam)
+        gam = _gammas(n - 1)
+        return gam + (1j * _chirality(gam),)
     gam = [1j * s1, 1j * s2]
     while len(gam) < n:
         m = gam[0].shape[0]
@@ -241,6 +221,14 @@ def _gammas(n):
     return tuple(g.copy() for g in gam)
 
 
+def _chirality(gam):
+    """(-i)^m g_1 ... g_2m for 2m gamma matrices."""
+    omega = np.eye(gam[0].shape[0], dtype=complex) * (-1j) ** (len(gam) // 2)
+    for g in gam:
+        omega = omega @ g
+    return omega
+
+
 def spin_fundamental(n, chirality=None):
     """Spinor representation of so(n) via the Clifford construction.
 
@@ -249,29 +237,18 @@ def spin_fundamental(n, chirality=None):
     """
     if not 3 <= n <= 8:
         raise UnsupportedDim("spin_fundamental supports 3 <= n <= 8")
-    son = liealg.make_so(n)
     gam = _gammas(n)
     images = [0.5 * (gam[i] @ gam[j]) for i, j in pair_index(n)]
-    label = f"spinor:{n}"
     if chirality is not None:
         if n % 2 != 0:
             raise UnsupportedDim("chiral summands exist only for even n")
-        m = n // 2
-        omega = np.eye(gam[0].shape[0], dtype=complex) * (-1j) ** m
-        for g in gam:
-            omega = omega @ g
-        # omega is real for n = 4, 6, 8, with eigenvalues +1 and -1
-        vals, vecs = np.linalg.eigh(omega.real)
+        # the chirality element is real for n = 4, 6, 8, with eigenvalues
+        # +1 and -1
+        vals, vecs = np.linalg.eigh(_chirality(gam).real)
         q = vecs[:, vals > 0 if chirality == "+" else vals < 0]
         images = [q.T @ g @ q for g in images]
-        label = f"spinor{chirality}:{n}"
-    nd = images[0].shape[0]
-    return AlgebraRep(
-        source=son,
-        images=np.stack([_realify_linear(m) for m in images]),
-        label=label,
-        complex_structure=_jc(nd),
-    )
+    return _complex_rep(liealg.make_so(n), np.stack(images),
+                        f"spinor{chirality or ''}:{n}")
 
 
 def _sym_traceless_basis(n):
@@ -298,34 +275,22 @@ def sym2_traceless(rep):
     return AlgebraRep(rep.source, out, label=f"S2_0({rep.label})")
 
 
-def _u_complex_images(n):
-    un = liealg.make_u(n)
-    out = []
-    for m in un.matrices:
-        x, y = liealg.complex_parts(m)
-        out.append(ex.to_float(x) + 1j * ex.to_float(y))
-    return un, out
-
-
 def un_det_power(n, k):
     """u(n) acting on C by k times the complex trace, realified."""
-    un, mats = _u_complex_images(n)
-    images = np.zeros((un.dim, 2, 2))
-    for t, m in enumerate(mats):
-        w = k * np.trace(m).imag
-        images[t] = [[0.0, -w], [w, 0.0]]
-    return AlgebraRep(un, images, label=f"det:({n},{k})",
-                      complex_structure=_jc(1))
+    un = liealg.make_u(n)
+    images = np.zeros((un.dim, 1, 1), dtype=complex)
+    images.imag[:, 0, 0] = k * np.trace(_complex_images(un).imag, axis1=1,
+                                        axis2=2)
+    return _complex_rep(un, images, f"det:({n},{k})")
 
 
 def un_fundamental_twist(n, k):
     """Fundamental of u(n) twisted by the k-th determinant power, realified."""
-    un, mats = _u_complex_images(n)
-    images = np.stack([
-        _realify_linear(m + 1j * k * np.trace(m).imag * np.eye(n)) for m in mats
-    ])
-    return AlgebraRep(un, images, label=f"fund:({n},{k})",
-                      complex_structure=_jc(n))
+    un = liealg.make_u(n)
+    images = _complex_images(un)
+    images.imag += k * np.trace(images.imag, axis1=1, axis2=2)[:, None, None] \
+        * np.eye(n)
+    return _complex_rep(un, images, f"fund:({n},{k})")
 
 
 def _block_diag(a, b):
@@ -490,6 +455,19 @@ def _split_args(s):
     return [p.strip() for p in out]
 
 
+# atom -> (constructor, number of integer parameters); trivial:k acts on the
+# source, un_*:k take n from its u(n), spinor+/- pass their chirality. Looked
+# up in the module globals at call time, so wrappers installed there run.
+_ATOMS = {
+    "trivial": ("trivial_rep", 1), "spin2": ("spin2_irrep", 1),
+    "su2": ("su2_irrep", 1), "spin4": ("spin4_irrep", 2),
+    "spinor": ("spin_fundamental", 1), "spin_fund": ("spin_fundamental", 1),
+    "spinor+": ("spin_fundamental", 1), "spinor-": ("spin_fundamental", 1),
+    "det": ("un_det_power", 2), "un_det": ("un_det_power", 1),
+    "fund": ("un_fundamental_twist", 2), "un_fund": ("un_fundamental_twist", 1),
+}
+
+
 def from_descriptor(desc, source=None):
     """Build a rep from a descriptor string.
 
@@ -498,72 +476,52 @@ def from_descriptor(desc, source=None):
         atom     = "trivial:" int | "spin2:" int | "su2:" int
                  | "spin4:(" int "," int ")"
                  | "spinor:" int | "spinor+:" int | "spinor-:" int
+                 | "spin_fund:" int
                  | "det:(" int "," int ")" | "fund:(" int "," int ")"
-    The optional source argument fixes the algebra for trivial factors.
+                 | "un_det:" int | "un_fund:" int
+    The optional source argument fixes the algebra for trivial factors and
+    the n of un_det:k and un_fund:k.
     """
     desc = desc.strip()
     if desc.startswith("sum(") and desc.endswith(")"):
         parts = _split_args(desc[4:-1])
         if not parts or any(not p for p in parts):
             raise DescriptorError(f"bad sum descriptor {desc!r}")
-        parsed = [None] * len(parts)
-        src = source
-        for i, p in enumerate(parts):
-            if not p.startswith("trivial"):
-                parsed[i] = from_descriptor(p, source=source)
-                if src is None:
-                    src = parsed[i].source
-        for i, p in enumerate(parts):
-            if parsed[i] is None:
-                parsed[i] = from_descriptor(p, source=src)
-        out = parsed[0]
-        for r in parsed[1:]:
-            out = direct_sum(out, r)
-        return out
+        # trivial parts act on the source, else on the first other part's
+        parsed = [None if p.startswith("trivial") else
+                  from_descriptor(p, source=source) for p in parts]
+        src = source or next((r.source for r in parsed if r), None)
+        return reduce(direct_sum, [
+            r or from_descriptor(p, source=src) for r, p in zip(parsed, parts)])
     if desc.startswith("ext(") and desc.endswith(")"):
         parts = _split_args(desc[4:-1])
         if len(parts) != 2:
             raise DescriptorError(f"ext takes exactly two reps: {desc!r}")
         return external_sum(from_descriptor(parts[0]), from_descriptor(parts[1]))
-    if ":" not in desc:
-        raise DescriptorError(f"cannot parse descriptor {desc!r}")
-    name, _, params = desc.partition(":")
-    name = name.strip()
-    params = params.strip()
-
-    def one_int():
-        try:
-            return int(params)
-        except ValueError:
-            raise DescriptorError(f"expected an integer parameter in {desc!r}")
-
-    def two_ints():
-        if not (params.startswith("(") and params.endswith(")")):
-            raise DescriptorError(f"expected (a,b) parameters in {desc!r}")
-        parts = _split_args(params[1:-1])
-        if len(parts) != 2:
-            raise DescriptorError(f"expected two parameters in {desc!r}")
-        try:
-            return int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DescriptorError(f"expected integer parameters in {desc!r}")
-
+    name, colon, params = (p.strip() for p in desc.partition(":"))
+    if not colon or name not in _ATOMS:
+        raise DescriptorError(f"unknown constructor {name!r}" if colon else
+                              f"cannot parse descriptor {desc!r}")
+    ctor, arity = _ATOMS[name]
+    pair = arity == 2 and params[:1] + params[-1:] == "()"
+    parts = _split_args(params[1:-1]) if pair else [params]
+    try:
+        args = [int(p) for p in parts]
+    except ValueError:
+        args = []
+    if len(args) != arity:
+        form = "k" if arity == 1 else "(a,b)"
+        raise DescriptorError(f"expected {name}:{form} with integer "
+                              f"parameters, got {desc!r}")
     if name == "trivial":
-        k = one_int()
-        if k < 0:
+        if args[0] < 0:
             raise DescriptorError("trivial rank must be nonnegative")
-        return trivial_rep(source or liealg.make_abelian(0), k)
-    if name == "spin2":
-        return spin2_irrep(one_int())
-    if name == "su2":
-        return su2_irrep(one_int())
-    if name == "spin4":
-        return spin4_irrep(*two_ints())
-    if name in ("spinor", "spinor+", "spinor-"):
-        chir = None if name == "spinor" else name[-1]
-        return spin_fundamental(one_int(), chirality=chir)
-    if name == "det":
-        return un_det_power(*two_ints())
-    if name == "fund":
-        return un_fundamental_twist(*two_ints())
-    raise DescriptorError(f"unknown constructor {name!r}")
+        args.insert(0, source or liealg.make_abelian(0))
+    elif name.startswith("un_"):
+        n = getattr(source, "complex_n", None)
+        if n is None:
+            raise DescriptorError(f"{name}:k needs a CP^n base to infer n")
+        args.insert(0, n)
+    elif name in ("spinor+", "spinor-"):
+        args.append(name[-1])  # the chirality
+    return globals()[ctor](*args)

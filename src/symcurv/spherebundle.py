@@ -71,7 +71,9 @@ def schur_constancy_check(bundle, samples=1000, seed=0, tol=None):
     for _ in range(samples):
         u = rng.standard_normal(bundle.rank)
         u /= np.linalg.norm(u)
-        worst = max(worst, abs(c_of(ct, u) - ct.constant))
+        d = abs(c_of(ct, u) - ct.constant)
+        if d > worst or d != d:  # keeps a NaN, which max() would drop
+            worst = d
     return ConstancyReport(
         ok=within(worst, ct.constant, tol=tol),
         constant=ct.constant, max_deviation=worst, samples=samples,

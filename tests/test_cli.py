@@ -62,8 +62,16 @@ def test_classify_csv(capsys):
 
 
 def test_classify_missing_rank(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["classify", "S4"])
+    assert cli.main(["classify", "S4"]) == cli.EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: --rank\n")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert "--rank" in capsys.readouterr().out
 
 
 def test_classify_unsupported(capsys):
@@ -138,6 +146,17 @@ def test_charclasses_alias(capsys):
     code, out = run(capsys, "charclasses", "CP1", "un_det:1")
     assert code == 0
     assert json.loads(out)["c1"] == 1.0
+
+
+@pytest.mark.parametrize("space, desc, rank", [
+    ("CP2", "sum(un_det:1,un_fund:1)", 6),
+    ("S5", "sum(spin_fund:5,trivial:1)", 9),
+    ("S2xS3", "ext(spin2:2,spin_fund:3)", 6),
+])
+def test_aliases_inside_sum_and_ext(capsys, space, desc, rank):
+    code, out = run(capsys, "verify", space, desc, "--samples", "50")
+    assert code == 0
+    assert json.loads(out)["rank"] == rank
 
 
 def test_charclasses_cp2_weight_mode(capsys):
@@ -218,7 +237,7 @@ def test_classify_honours_tol(capsys):
     # rounding leaves bracket residuals of about 1e-16 on some spin4 irreps
     # (on S2 every residual is exactly 0, so no tolerance fails there)
     code, out = run(capsys, "classify", "S4", "--rank", "3", "--tol", "1e-30")
-    assert code == 0
+    assert code == cli.EXIT_CHECK_FAILED
     failed = {b["label"] for b in json.loads(out)["bundles"]
               if not b["verified"]["bracket_identity"]}
     assert failed and "trivial:1" not in failed
@@ -492,6 +511,8 @@ def test_package_attributes_import_submodules():
     (("verify", "S4", "spinor:9"), cli.EXIT_UNSUPPORTED),  # UnsupportedDim
     (("verify", "S4", "spin2:3"), cli.EXIT_UNSUPPORTED),  # SourceMismatch
     (("verify", "S4", "spin4:(1"), cli.EXIT_PARSE_ERROR),  # DescriptorError
+    (("classify", "S4", "--rank", "x"), cli.EXIT_PARSE_ERROR),  # usage error
+    (("info", "S2", "--output", "xml"), cli.EXIT_PARSE_ERROR),  # usage error
     (("info", "Foo", "--config", "absent.txt"),
      cli.EXIT_PARSE_ERROR),  # ValueError: an unreadable file
 ])

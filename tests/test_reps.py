@@ -216,6 +216,32 @@ def test_descriptor_grammar():
         reps.from_descriptor("spin2:0")
 
 
+@pytest.mark.parametrize("alias, canonical", [
+    ("un_det:-2", "det:(2,-2)"), ("un_fund:1", "fund:(2,1)"),
+    ("spin_fund:5", "spinor:5"),
+    ("sum(un_det:1,un_fund:1)", "sum(det:(2,1),fund:(2,1))"),
+    ("sum(spin_fund:5,trivial:1)", "sum(spinor:5,trivial:1)"),
+    ("ext(spin2:2,spin_fund:3)", "ext(spin2:2,spinor:3)"),
+])
+def test_descriptor_aliases_at_any_depth(alias, canonical):
+    src = liealg.make_u(2) if "un_" in alias else None
+    got = reps.from_descriptor(alias, source=src)
+    want = reps.from_descriptor(canonical, source=src)
+    assert got.label == want.label and got.source.name == want.source.name
+    assert np.array_equal(got.images, want.images)
+    assert np.array_equal(got.complex_structure, want.complex_structure)
+
+
+def test_un_alias_needs_a_complex_source():
+    # ext's factors get no source, so un_*:k cannot infer n there
+    for desc, src in [("un_det:1", liealg.make_so(4)),
+                      ("sum(un_fund:1,trivial:1)", None),
+                      ("ext(spinor:4,un_det:1)", liealg.make_u(1))]:
+        with pytest.raises(reps.DescriptorError,
+                           match=r"un_(det|fund):k needs a CP\^n base"):
+            reps.from_descriptor(desc, source=src)
+
+
 # ---------------------------------------------------------------------------
 # The per-generator np.kron system and the SVD-only equivalence test that
 # the centralizer code replaced, kept as references.

@@ -54,13 +54,22 @@ def test_schur_constancy_reducible_fails():
 
 
 def test_schur_check_fails_a_nan_block():
-    # max() drops the NaN deviations, but the NaN constant fails the bound
+    # the NaN constant fails the bound
     good = _bundle("S4", "spin4:(1,0)")
     blocks = good.blocks.copy()
     blocks[0, 0, 1] = np.nan
     bad = bn.InducedBundle(good.space, good.rep, blocks, good.curv)
     assert not sb.c_tilde(bad).is_multiple_of_identity
     assert not sb.schur_constancy_check(bad, samples=20).ok
+
+
+def test_schur_deviation_keeps_a_nan(monkeypatch):
+    # a NaN sample stays the worst deviation, also when finite ones follow
+    bundle = _bundle("S4", "spin4:(1,0)")
+    values = iter([np.nan] + [3.0] * 9)
+    monkeypatch.setattr(sb, "c_of", lambda ct, u: next(values))
+    rep = sb.schur_constancy_check(bundle, samples=10)
+    assert np.isnan(rep.max_deviation) and not rep.ok
 
 
 def test_c_of_unit_vectors():
