@@ -23,6 +23,7 @@ class LieAlgebraModel:
     inner_product: np.ndarray  # (dim, dim) Fractions, Ad-invariant, positive definite
     matrices: tuple | None = None  # optional matrix realization (realified for complex)
     complex_n: int | None = None  # if realified: matrices are 2n x 2n real
+    factors: tuple = ()  # (a, b) if built by product_algebra(a, b)
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def product_algebra(a, b):
         mats = tuple(mats)
     return LieAlgebraModel(
         name=f"{a.name}+{b.name}", dim=d, basis_labels=labels,
-        structure=c, inner_product=ip, matrices=mats,
+        structure=c, inner_product=ip, matrices=mats, factors=(a, b),
     )
 
 

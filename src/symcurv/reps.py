@@ -480,7 +480,8 @@ def from_descriptor(desc, source=None):
                  | "det:(" int "," int ")" | "fund:(" int "," int ")"
                  | "un_det:" int | "un_fund:" int
     The optional source argument fixes the algebra for trivial factors and
-    the n of un_det:k and un_fund:k.
+    the n of un_det:k and un_fund:k; inside ext(...), each part gets its
+    factor of a product source.
     """
     desc = desc.strip()
     if desc.startswith("sum(") and desc.endswith(")"):
@@ -497,7 +498,8 @@ def from_descriptor(desc, source=None):
         parts = _split_args(desc[4:-1])
         if len(parts) != 2:
             raise DescriptorError(f"ext takes exactly two reps: {desc!r}")
-        return external_sum(from_descriptor(parts[0]), from_descriptor(parts[1]))
+        factors = getattr(source, "factors", ()) or (None, None)
+        return external_sum(*map(from_descriptor, parts, factors))
     name, colon, params = (p.strip() for p in desc.partition(":"))
     if not colon or name not in _ATOMS:
         raise DescriptorError(f"unknown constructor {name!r}" if colon else

@@ -227,44 +227,35 @@ def isotropy_rep(space):
 
 
 def condition_a(space) -> ConditionAReport:
-    """Exact check of span[ker R^M, Im R^M] = ker R^M on the bracket
-    numerators B: they lie in ker R^M iff R^M B = 0, and span rank(B B^T)."""
+    """Exact check of span[ker R^M, Im R^M] = ker R^M.
+
+    Each x in Im R^M acts on Lambda^2 by the bracket [., x], which is
+    skew-adjoint. Once R^M [k, x] = 0 shows that the brackets stay in
+    ker R^M, their span is the complement, in ker R^M, of the kernel vectors
+    that commute with every x: ker @ c for c in the null space of the
+    integer Gram G = sum_x A_x A_x^T, where row i of A_x is [ker_i, x].
+    """
     curv = curvature_operator(space)
     ker, img = curv.kernel_basis, curv.image_basis
     dim_ker, dim_img = ker.shape[1], img.shape[1]
     if dim_ker == 0:
         return ConditionAReport(True, 0, dim_img, 0, None)
-    bnum, bden = _bracket_matrix(ker, img, space.m_dim)
-    if ex.int_matmul(ex.scale_to_int(curv.matrix)[0], bnum).any():
-        raise ContainmentViolated("[ker, Im] escaped ker R^M")
-    dim_span = ex.rank(ex.from_scaled_int(ex.int_matmul(bnum, bnum.T), 1))
-    holds = dim_span == dim_ker
+    num, _ = ex.scale_to_int(np.concatenate([ker, img], axis=1),
+                             degree=2, terms=2 * space.m_dim)
+    knum, r_num = num[:, :dim_ker].T, ex.scale_to_int(curv.matrix)[0]
+    gram = np.zeros((dim_ker, dim_ker), dtype=object)  # Python ints never wrap
+    for x in num[:, dim_ker:].T:
+        a = bivector_bracket(knum, x, space.m_dim)
+        if ex.int_matmul(r_num, a.T).any():
+            raise ContainmentViolated("[ker, Im] escaped ker R^M")
+        gram += ex.int_matmul(a, a.T)
+    null = ex.nullspace(ex.from_scaled_int(gram, 1))
     witness = None
-    if not holds:
-        # kernel vector off B's top dim_span left singular vectors (a QR of
-        # a wide B spans R^N); int division rounds as float(Fraction) does
-        kf = ex.to_float(ker)
-        bf = ex.to_float(bnum.astype(object) / bden)
-        q = np.linalg.svd(bf, full_matrices=False)[0][:, :dim_span]
-        resid = kf - q @ (q.T @ kf)
-        col = int(np.argmax(np.linalg.norm(resid, axis=0)))
-        w = resid[:, col]
+    if null.shape[1]:
+        w = ex.to_float(np.dot(ker, null[:, 0]))
         witness = w / np.linalg.norm(w)
-    return ConditionAReport(holds, dim_ker, dim_img, dim_span, witness)
-
-
-def _bracket_matrix(ker, img, n):
-    """Bivector columns [ker_a, im_b], column a * img.shape[1] + b, as
-    (integer numerators, common denominator).
-
-    Both bases are scaled to integers over one denominator; all their
-    brackets are then taken at once.
-    """
-    num, den = ex.scale_to_int(np.concatenate([ker, img], axis=1),
-                               degree=2, terms=2 * n)
-    k, i = num[:, : ker.shape[1]].T, num[:, ker.shape[1]:].T
-    comm = bivector_bracket(k[:, None], i[None], n)
-    return comm.reshape(-1, num.shape[0]).T, den * den
+    return ConditionAReport(not null.shape[1], dim_ker, dim_img,
+                            dim_ker - null.shape[1], witness)
 
 
 def eigenspace_structure_residuals(curv):

@@ -1,6 +1,7 @@
 """Induced curvature, reconstruction, characteristic numbers, classifier."""
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -313,6 +314,29 @@ def test_char_additivity():
     assert abs(c.euler) < 1e-9
     base = bn.characteristic_numbers(bn.induce(s4, reps.spin4_irrep(2, 0)))
     assert abs(c.p1 - base.p1) < 1e-9
+
+
+def test_whitney_sums_add_characteristic_numbers():
+    # over S2 and CP1 c1 adds; over S4 p1 and c2 add (c1 vanishes there).
+    # A sum with a real summand has no complex structure, hence no c1 or c2
+    checked = 0
+    for name, keys in (("S2", ("c1",)), ("CP1", ("c1",)),
+                       ("S4", ("p1", "c2"))):
+        space = ss.catalog(name)
+        pool = bn.catalog_irreps(space, 4, weight_cap=3)
+        nums = {label: bn.characteristic_numbers(bn.induce(space, rep))
+                for label, rep in pool}
+        for (la, ra), (lb, rb) in itertools.combinations_with_replacement(
+                pool, 2):
+            got = bn.characteristic_numbers(
+                bn.induce(space, reps.direct_sum(ra, rb)))
+            for key in keys:
+                if getattr(got, key) is not None:
+                    want = getattr(nums[la], key) + getattr(nums[lb], key)
+                    assert abs(getattr(got, key) - want) <= 1e-12, \
+                        (name, la, lb, key)
+                    checked += 1
+    assert checked == 36
 
 
 def test_cp1_line_bundle():

@@ -1,6 +1,7 @@
 """Cartan pairs, curvature operators, Condition A, catalog."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -71,8 +72,8 @@ def test_condition_a_witness_is_a_kernel_vector_off_the_bracket_span(name):
     assert abs(np.linalg.norm(w) - 1) <= 1e-12
     assert np.abs(curv.float_matrix @ w).max() <= 1e-12
     if curv.image_basis.shape[1]:
-        bmat = ex.to_float(_bracket_fractions(curv.kernel_basis,
-                                              curv.image_basis, space.m_dim))
+        bmat = ex.to_float(_reference_bracket_matrix(
+            curv.kernel_basis, curv.image_basis, space.m_dim))
         assert np.abs(bmat.T @ w).max() <= 1e-12 * np.abs(bmat).max()
 
 
@@ -215,12 +216,24 @@ def test_ad_ref_matches_fraction_tensordot(name):
     assert space.ad_ref.shape == want.shape
 
 
-@pytest.mark.parametrize("a, b", [("S2", "S3"), ("S2", "R2"), ("R1", "S2"),
-                                  ("CP1", "S2"), ("SU2_group", "CP2"),
-                                  ("S4", "S3")])
+# every unordered pair, repeats included, is taken once in this order
+_PRODUCT_FACTORS = ["R1", "CP1", "S2", "S4", "S3", "SU2_group", "CP2", "R2",
+                    "S2xR1"]
+
+
+@pytest.mark.parametrize("a, b", itertools.combinations_with_replacement(
+    _PRODUCT_FACTORS, 2))
 def test_product_of_catalog_spaces_is_blockwise(a, b):
     sa, sb = ss.catalog(a), ss.catalog(b)
     prod = ss.catalog(f"{a}x{b}")
+    # the paper's R^2 hypothesis: the mixed bivectors x_a ^ y_b are flat,
+    # and Condition A survives the product unless both factors are flat
+    ca, cb = ss.condition_a(sa), ss.condition_a(sb)
+    rep = _assert_condition_a_matches_reference(prod)
+    assert rep.dim_kernel == ca.dim_kernel + cb.dim_kernel + sa.m_dim * sb.m_dim
+    assert rep.dim_image == ca.dim_image + cb.dim_image
+    assert rep.holds == (ca.holds and cb.holds
+                         and sa.flat_dim * sb.flat_dim == 0)
     want = reps.external_sum(ss.isotropy_rep(sa), ss.isotropy_rep(sb))
     assert ss.isotropy_rep(prod).images.tobytes() == want.images.tobytes()
     # R^M on the A-pairs and on the B-pairs is each factor's, zero elsewhere
@@ -248,11 +261,6 @@ def test_curvature_operator_memoized_per_space():
     assert ex.is_zero(ss.curvature_operator(renamed).matrix - curv.matrix)
 
 
-def _bracket_fractions(ker, img, n):
-    """The library's bracket matrix as Fractions."""
-    return ex.from_scaled_int(*ss._bracket_matrix(ker, img, n))
-
-
 def _reference_bracket_matrix(ker, img, n):
     """The per-pair loop Condition A brackets were first built with: one
     exact commutator of skew matrices per (kernel, image) column pair. Each
@@ -275,23 +283,44 @@ def _reference_bracket_matrix(ker, img, n):
             comm = np.dot(ka, ib) - np.dot(ib, ka)
             cols.append([Fraction(v, da * db)
                          for v in bivector_coeffs_from_skew(comm)])
-    return np.array(cols, dtype=object).T
+    return np.array(cols, dtype=object).reshape(-1, len(pair_index(n))).T
 
 
 def _reference_condition_a(space):
-    """Condition A on the reference bracket matrix, with the same exact
-    ranks and float witness as the library."""
+    """(holds, dim_kernel, dim_image, dim_span_bracket, witness) from the
+    reference bracket matrix B: the span is B's exact rank, and the witness
+    is ker @ c for the first exact null vector c of the map taking c to
+    every [ker @ c, x], normalized in float. That vector is checked to
+    bracket to exactly zero with every image column."""
     curv = ss.curvature_operator(space)
     ker, img = curv.kernel_basis, curv.image_basis
-    if ker.shape[1] == 0:
-        return True, 0, None
-    if img.shape[1] == 0:
-        return False, 0, ex.to_float(ker)
+    dim_ker, dim_img = ker.shape[1], img.shape[1]
+    if dim_ker == 0:
+        return True, 0, dim_img, 0, None
     bmat = _reference_bracket_matrix(ker, img, space.m_dim)
     dim_span = ex.rank(bmat)
-    kf = ex.to_float(ker)
-    q = np.linalg.svd(ex.to_float(bmat), full_matrices=False)[0][:, :dim_span]
-    return dim_span == ker.shape[1], dim_span, kf - q @ (q.T @ kf)
+    if dim_span == dim_ker:
+        return True, dim_ker, dim_img, dim_span, None
+    # column a * dim_img + b of B is [ker_a, img_b]: rows of the stack are
+    # the coefficients of [ker @ c, img_b] in c, one block per b
+    stack = bmat.reshape(len(bmat), dim_ker, dim_img).transpose(2, 0, 1)
+    c = ex.nullspace(stack.reshape(-1, dim_ker))[:, 0]
+    v = np.dot(ker, c)
+    assert ex.is_zero(_reference_bracket_matrix(v[:, None], img, space.m_dim))
+    w = ex.to_float(v)
+    return False, dim_ker, dim_img, dim_span, w / np.linalg.norm(w)
+
+
+def _assert_condition_a_matches_reference(space):
+    holds, dim_ker, dim_img, dim_span, w = _reference_condition_a(space)
+    rep = ss.condition_a(space)
+    assert (rep.holds, rep.dim_kernel, rep.dim_image,
+            rep.dim_span_bracket) == (holds, dim_ker, dim_img, dim_span)
+    if holds:
+        assert rep.witness is None
+    else:
+        assert np.array_equal(rep.witness, w)
+    return rep
 
 
 @pytest.mark.parametrize("name", ["S4xS4", "S3xS3", "S2xS3", "CP3", "S2xS2",
@@ -299,20 +328,8 @@ def _reference_condition_a(space):
                                   "S4xR1xR1", "CP2xR2", "CP3xCP3",
                                   "S4xS4xS4"])
 def test_scaled_integer_brackets_match_fraction_path(name):
-    space = ss.catalog(name)
-    curv = ss.curvature_operator(space)
-    ker, img = curv.kernel_basis, curv.image_basis
-    if img.shape[1]:
-        assert _same_fractions(_bracket_fractions(ker, img, space.m_dim),
-                               _reference_bracket_matrix(ker, img,
-                                                         space.m_dim))
-    holds, dim_span, resid = _reference_condition_a(space)
-    rep = ss.condition_a(space)
-    assert (rep.holds, rep.dim_span_bracket) == (holds, dim_span)
-    if not holds:  # the spaces with a flat factor take the witness path
-        col = int(np.argmax(np.linalg.norm(resid, axis=0)))
-        w = resid[:, col] / np.linalg.norm(resid[:, col])
-        assert np.array_equal(rep.witness, w)
+    # the spaces with a flat factor fail, and their witness is compared too
+    _assert_condition_a_matches_reference(ss.catalog(name))
 
 
 def test_condition_a_raises_when_brackets_leave_the_kernel(monkeypatch):
@@ -328,18 +345,24 @@ def test_condition_a_raises_when_brackets_leave_the_kernel(monkeypatch):
         ss.condition_a(space)
 
 
-def test_scaled_integer_brackets_large_entries():
-    # entries this large overflow int64 products, so the Python-int path runs
-    space = ss.catalog("S2xS2")
-    curv = ss.curvature_operator(space)
-    n = space.m_dim
-    ker = curv.kernel_basis * Fraction(5**30, 3)
-    img = curv.image_basis * Fraction(7, 2**40)
-    num, _ = ex.scale_to_int(np.concatenate([ker, img], axis=1), degree=2,
-                             terms=2 * n)
-    assert num.dtype == object
-    assert _same_fractions(_bracket_fractions(ker, img, n),
-                           _reference_bracket_matrix(ker, img, n))
+def test_scaled_integer_brackets_large_entries(monkeypatch):
+    # numerators this large overflow int64 brackets, so the Python-int path
+    # runs; scaling the kernel basis changes no span
+    for name in ("S2xS2", "S2xR2"):
+        space = ss.catalog(name)
+        curv = ss.curvature_operator(space)
+        want = ss.condition_a(space)
+        scaled = dataclasses.replace(
+            curv, kernel_basis=curv.kernel_basis * Fraction(5**30, 3))
+        num, _ = ex.scale_to_int(
+            np.concatenate([scaled.kernel_basis, scaled.image_basis], axis=1),
+            degree=2, terms=2 * space.m_dim)
+        assert num.dtype == object
+        with monkeypatch.context() as patch:
+            patch.setattr(ss, "curvature_operator", lambda _: scaled)
+            rep = _assert_condition_a_matches_reference(space)
+        assert rep.dim_span_bracket == want.dim_span_bracket, name
+        assert rep.holds == want.holds, name
 
 
 def _eigenspace_residuals_ref(curv):
