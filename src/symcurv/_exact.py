@@ -5,8 +5,8 @@ are tiny (dims <= ~40), so plain Gaussian elimination is fine and keeps
 every rank/kernel computation exact. Bulk products (structure constants,
 the curvature operator, Condition A brackets) run on scaled integers
 instead: scale_to_int writes an array as integer numerators over one
-common denominator, the caller multiplies those (matrix products with
-int_matmul), and from_scaled_int turns the result back into Fractions.
+common denominator, int_matmul multiplies those, and from_scaled_int
+turns the result back into Fractions.
 """
 
 import math
@@ -49,20 +49,16 @@ def feye(n):
     return a
 
 
-def scale_to_int(a, degree=1, terms=1):
+def scale_to_int(a):
     """(num, den) with a == num / den exactly and den the least common
-    denominator of the entries.
-
-    num is int64 when every sum of `terms` products of `degree` entries of
-    num fits in int64, the caller's bound for a product that is not an
-    int_matmul; otherwise num holds Python ints (dtype=object).
-    """
+    denominator of the entries. num is int64 when every entry is below 2**31,
+    so that a product of two entries, or a sum of two such products, fits in
+    int64 (longer products go through int_matmul); else it holds Python ints."""
     a = np.asarray(a, dtype=object)
     flat = [frac(v) for v in a.reshape(-1)]
     den = math.lcm(*{v.denominator for v in flat})
     num = [v.numerator * (den // v.denominator) for v in flat]
-    big = max(map(abs, num), default=0)
-    dtype = np.int64 if terms * big**degree < 2**63 else object
+    dtype = np.int64 if max(map(abs, num), default=0) < 2**31 else object
     return np.array(num, dtype=dtype).reshape(a.shape), den
 
 
@@ -166,9 +162,7 @@ def solve(a, b):
 
 
 def inverse(a):
-    a = np.asarray(a, dtype=object)
-    n = a.shape[0]
-    return solve(a, feye(n))
+    return solve(a, feye(len(a)))
 
 
 def fsqrt(q):

@@ -25,6 +25,7 @@ from .linalg import (
     bivector_bracket,
     bivector_coeffs_from_skew,
     combine,
+    is_integral,
     pair_index,
     project,
     row_chunks,
@@ -236,9 +237,8 @@ class CharClassReport:
     tolerance: float = INTEGRALITY_TOL
 
     def integral(self):
-        vals = [v for v in (self.euler, self.p1, self.c1, self.c2)
-                if v is not None]
-        return all(abs(v - round(v)) <= self.tolerance for v in vals)
+        return all(is_integral(v, self.tolerance) for v in
+                   (self.euler, self.p1, self.c1, self.c2) if v is not None)
 
     def to_dict(self):
         return {

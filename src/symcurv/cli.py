@@ -214,7 +214,7 @@ def cmd_charclasses(args):
         weight = bn.c1_weight(space, rep)
         data = {"base": space.name, "rank": rep.target_dim,
                 "mode": "representation-weight", "c1_weight": weight,
-                "integral": bool(abs(weight - round(weight)) <= tol)}
+                "integral": linalg.is_integral(weight, tol)}
         emit(data, args.output)
         return EXIT_OK
     bundle = bn.induce(space, rep)

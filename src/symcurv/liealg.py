@@ -23,7 +23,7 @@ class LieAlgebraModel:
     inner_product: np.ndarray  # (dim, dim) Fractions, Ad-invariant, positive definite
     matrices: tuple | None = None  # optional matrix realization (realified for complex)
     complex_n: int | None = None  # if realified: matrices are 2n x 2n real
-    factors: tuple = ()  # (a, b) if built by product_algebra(a, b)
+    factors: tuple = ()  # (a, b) of a product space's isotropy algebra
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,17 @@ class ValidationReport:
 def _structure_from_matrices(mats):
     """Structure constants and trace-form Gram matrix of a matrix Lie algebra.
 
-    With the matrices scaled to integers M_i = D X_i, every commutator, the
-    Gram matrix 2 D^2 <X_i, X_j> and every pairing 2 D^3 <X_k, [X_i, X_j]>
-    is one integer einsum. One exact inverse of the Gram matrix, brought to
-    a common denominator, turns all pairings into coefficients with one
-    integer product.
+    With the matrices scaled to integers M_i = D X_i, the Gram matrix
+    2 D^2 <X_i, X_j> and every pairing 2 D^3 <X_k, [X_i, X_j]> are int_matmul
+    products, the commutators taken one i at a time so that no array holds
+    them all. One exact inverse of the Gram matrix, brought to a common
+    denominator, turns all pairings into coefficients with one integer product.
     """
-    n = mats[0].shape[0]
-    m, den = ex.scale_to_int(np.stack(mats), degree=3, terms=2 * n**3)
-    prod = np.einsum("ink,jkm->ijnm", m, m)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    gram = np.einsum("iab,jab->ij", m, m)
-    rhs = np.einsum("kab,ijab->ijk", m, comm)
+    m, den = ex.scale_to_int(np.stack(mats))
+    flat = m.reshape(len(m), -1)
+    gram = ex.int_matmul(flat, flat.T)
+    comm = (ex.int_matmul(mi, m) - ex.int_matmul(m, mi) for mi in m)
+    rhs = np.array([ex.int_matmul(c.reshape(flat.shape), flat.T) for c in comm])
     inv, inv_den = ex.scale_to_int(ex.inverse(ex.farray(gram.tolist())))
     c = ex.from_scaled_int(ex.int_matmul(rhs, inv.T), den * inv_den)
     return c, ex.from_scaled_int(gram, 2 * den * den)
@@ -173,19 +172,16 @@ def product_algebra(a, b):
     if a.matrices is not None and b.matrices is not None:
         na = a.matrices[0].shape[0] if a.dim else 1
         nb = b.matrices[0].shape[0] if b.dim else 1
-        mats = []
-        for m in a.matrices:
+
+        def embed(m, block):
             big = ex.fzeros((na + nb, na + nb))
-            big[:na, :na] = m
-            mats.append(big)
-        for m in b.matrices:
-            big = ex.fzeros((na + nb, na + nb))
-            big[na:, na:] = m
-            mats.append(big)
-        mats = tuple(mats)
+            big[block, block] = m
+            return big
+        mats = tuple([embed(m, slice(0, na)) for m in a.matrices]
+                     + [embed(m, slice(na, None)) for m in b.matrices])
     return LieAlgebraModel(
         name=f"{a.name}+{b.name}", dim=d, basis_labels=labels,
-        structure=c, inner_product=ip, matrices=mats, factors=(a, b),
+        structure=c, inner_product=ip, matrices=mats,
     )
 
 
@@ -220,7 +216,7 @@ def validate(alg) -> ValidationReport:
     scaled integers. Each check is homogeneous in the structure constants
     and in the inner product, so a common denominator does not change its
     zeros."""
-    c, _ = ex.scale_to_int(alg.structure, degree=2, terms=3 * alg.dim)
+    c, _ = ex.scale_to_int(alg.structure)
     ip, _ = ex.scale_to_int(alg.inner_product)
     anti = np.argwhere((c + c.transpose(1, 0, 2)).any(axis=-1))
     jac = _jacobi_failures(c)

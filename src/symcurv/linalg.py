@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._exact import fzeros
+from ._exact import fzeros, int_matmul
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,11 @@ def within(residual, scale_of=0.0, degree=1, tol=None, recover=False):
     return bool(residual <= bound) and math.isfinite(scale)
 
 
+def is_integral(value, tol=INTEGRALITY_TOL):
+    """The integrality rule: |value - round(value)| <= tol, unscaled."""
+    return bool(abs(value - round(value)) <= tol)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -121,10 +126,13 @@ def bivector_coeffs_from_skew(a):
 
 def bivector_bracket(a, b, n):
     """Coefficients of [a, b] = skew(a) skew(b) - skew(b) skew(a) for
-    bivectors given by coefficients; leading axes broadcast, and the dtype
-    of the inputs is kept, so integer numerators stay exact."""
+    bivectors given by coefficients; leading axes broadcast. Exact inputs
+    give exact results; int64 numerators go through int_matmul."""
     sa = skew_from_bivector_coeffs(a, n)
     sb = skew_from_bivector_coeffs(b, n)
+    if sa.dtype == sb.dtype == np.int64:  # [a, b] = P - P^T for P = ab
+        p = int_matmul(sa, sb)
+        return bivector_coeffs_from_skew(p - np.swapaxes(p, -1, -2))
     return bivector_coeffs_from_skew(sa @ sb - sb @ sa)
 
 

@@ -203,14 +203,13 @@ def _curvature_matrix(space):
     for p, (a, b) in enumerate(pairs):
         hc[p] = bracket[a, b] * ex.fsqrt(Fraction(1) / (d[a] * d[b]))
     # row t: ad(H_t)|_m as a bivector; column p of R^M is hc[p] @ biv,
-    # multiplied in scaled integers over one common denominator
+    # multiplied, and checked self-adjoint, in scaled integers
     biv = bivector_coeffs_from_skew(space.ad_h)
     num, den = ex.scale_to_int(np.concatenate([biv, hc.T], axis=1))
-    mat = ex.from_scaled_int(
-        ex.int_matmul(num[:, :len(pairs)].T, num[:, len(pairs):]), den * den)
-    if not ex.is_zero(mat - mat.T):
+    prod = ex.int_matmul(num[:, :len(pairs)].T, num[:, len(pairs):])
+    if np.count_nonzero(prod - prod.T):
         raise SymSpaceError("curvature operator failed exact self-adjointness")
-    return mat, hc
+    return ex.from_scaled_int(prod, den * den), hc
 
 
 def isotropy_rep(space):
@@ -230,23 +229,23 @@ def condition_a(space) -> ConditionAReport:
     """Exact check of span[ker R^M, Im R^M] = ker R^M.
 
     Each x in Im R^M acts on Lambda^2 by the bracket [., x], which is
-    skew-adjoint. Once R^M [k, x] = 0 shows that the brackets stay in
-    ker R^M, their span is the complement, in ker R^M, of the kernel vectors
-    that commute with every x: ker @ c for c in the null space of the
-    integer Gram G = sum_x A_x A_x^T, where row i of A_x is [ker_i, x].
+    skew-adjoint. Once [k, x] . img = 0 shows that the brackets stay in
+    ker R^M = (Im R^M)^perp (R^M is symmetric), their span is the
+    complement, in ker R^M, of the kernel vectors that commute with every x:
+    ker @ c for c in the null space of the integer Gram G = sum_x A_x A_x^T,
+    where row i of A_x is [ker_i, x].
     """
     curv = curvature_operator(space)
     ker, img = curv.kernel_basis, curv.image_basis
     dim_ker, dim_img = ker.shape[1], img.shape[1]
     if dim_ker == 0:
         return ConditionAReport(True, 0, dim_img, 0, None)
-    num, _ = ex.scale_to_int(np.concatenate([ker, img], axis=1),
-                             degree=2, terms=2 * space.m_dim)
-    knum, r_num = num[:, :dim_ker].T, ex.scale_to_int(curv.matrix)[0]
+    num, _ = ex.scale_to_int(np.concatenate([ker, img], axis=1))
+    knum, inum = num[:, :dim_ker].T, num[:, dim_ker:]
     gram = np.zeros((dim_ker, dim_ker), dtype=object)  # Python ints never wrap
-    for x in num[:, dim_ker:].T:
+    for x in inum.T:
         a = bivector_bracket(knum, x, space.m_dim)
-        if ex.int_matmul(r_num, a.T).any():
+        if ex.int_matmul(a, inum).any():
             raise ContainmentViolated("[ker, Im] escaped ker R^M")
         gram += ex.int_matmul(a, a.T)
     null = ex.nullspace(ex.from_scaled_int(gram, 1))
@@ -290,6 +289,7 @@ def eigenspace_structure_residuals(curv):
 
 
 def product_space(a, b) -> SymmetricSpaceModel:
+    # only ext(...) reads factors, so g keeps no factors' structure alive
     g = liealg.product_algebra(a.g, b.g)
     h_idx = tuple(a.h_indices) + tuple(i + a.g.dim for i in b.h_indices)
     metric = np.concatenate([a.metric_diag, b.metric_diag])
@@ -302,7 +302,7 @@ def product_space(a, b) -> SymmetricSpaceModel:
     elif ref_a is None or ref_b is None:
         ref = None
     else:
-        ref = liealg.product_algebra(ref_a, ref_b)
+        ref = replace(liealg.product_algebra(ref_a, ref_b), factors=(ref_a, ref_b))
     return make_symmetric_space(
         g, h_idx, metric, f"{a.name}x{b.name}",
         flat_dim=a.flat_dim + b.flat_dim, isotropy_ref=ref,

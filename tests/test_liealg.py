@@ -178,8 +178,7 @@ def test_scaled_integer_structure_large_entries():
     # entries this large overflow int64 products, so the Python-int path runs
     big = Fraction(3**40, 7)
     mats = [m * big for m in liealg.make_su(3).matrices]
-    n = mats[0].shape[0]
-    num, _ = ex.scale_to_int(np.stack(mats), degree=3, terms=2 * n**3)
+    num, _ = ex.scale_to_int(np.stack(mats))
     assert num.dtype == object
     c, gram = liealg._structure_from_matrices(mats)
     ref_c, ref_gram = _reference_structure(mats)
@@ -234,7 +233,7 @@ def test_jacobi_matches_dense_tensor(alg):
         rep = liealg.validate(dataclasses.replace(alg, structure=c))
         if not rep.antisymmetry_ok:
             continue
-        num, _ = ex.scale_to_int(c, degree=2, terms=3 * alg.dim)
+        num, _ = ex.scale_to_int(c)
         fails = [tuple(int(v) for v in t)
                  for t in np.argwhere(_dense_jacobi(num).any(axis=-1))
                  if t[0] < t[1] < t[2]]

@@ -47,14 +47,17 @@ def test_bivector_bracket():
     # [E12, E13] = E23 in the so(3) convention of liealg.make_so
     assert la.bivector_bracket([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 3).tolist() \
         == [0.0, 0.0, 1.0]
-    # int64 numerators stay int64 and agree with the Fraction path; leading
-    # axes broadcast to every pair
-    a, b = np.random.default_rng(1).integers(-9, 9, (2, 4, 6))
-    got = la.bivector_bracket(a[:, None], b[None], 4)
-    assert got.dtype == np.int64 and got.shape == (4, 4, 6)
-    want = la.bivector_bracket(ex.farray(a.tolist())[:, None],
-                               ex.farray(b.tolist())[None], 4)
-    assert want.dtype == object and (got == want).all()
+    # int64 numerators agree with the Fraction path, and leading axes
+    # broadcast to every pair. Small entries stay int64; entries near 2**30
+    # make products above 2**53, so int_matmul multiplies Python ints
+    rng = np.random.default_rng(1)
+    for top, dtype in ((9, np.int64), (2**30, object)):
+        a, b = rng.integers(-top, top, (2, 4, 6))
+        got = la.bivector_bracket(a[:, None], b[None], 4)
+        assert got.dtype == dtype and got.shape == (4, 4, 6)
+        want = la.bivector_bracket(ex.farray(a.tolist())[:, None],
+                                   ex.farray(b.tolist())[None], 4)
+        assert want.dtype == object and (got == want).all()
 
 
 def test_eig_sym_clusters_and_kernel():
@@ -75,6 +78,22 @@ def test_exact_mode_roundtrip():
     assert m.dtype == object
     back = la.bivector_coeffs_from_skew(m)
     assert all(a == b for a, b in zip(back, v))
+
+
+def test_is_integral_is_absolute():
+    tol = la.INTEGRALITY_TOL
+    assert la.is_integral(3 + tol / 2) and not la.is_integral(3 + 2 * tol)
+    assert la.is_integral(-2 - tol / 2) and la.is_integral(0.5, tol=0.5)
+    # no scale: a large value is judged by the same distance
+    assert not la.is_integral(1e6 + 2 * tol)
+
+
+def test_scale_to_int_keeps_int64_below_2_pow_31():
+    # below 2**31 a product of two entries, or a sum of two such products,
+    # fits in int64; from 2**31 on the numerators are Python ints
+    for top, dtype in ((2**31 - 1, np.int64), (2**31, object)):
+        num, den = ex.scale_to_int([Fraction(-top, 5), Fraction(1, 5)])
+        assert num.dtype == dtype and num.tolist() == [-top, 1] and den == 5
 
 
 def test_int_matmul_matches_python_int_product():

@@ -86,6 +86,17 @@ def test_product_space_structure():
     assert ss.condition_a(p).holds
 
 
+def test_product_keeps_factors_only_on_its_isotropy_algebra():
+    # ext(...) reads the isotropy algebra's factors; g records none, so a
+    # product does not keep its factors' structure tensors alive
+    space = ss.catalog("S8xS8xS8")
+    assert space.g.factors == ()
+    first, second = space.isotropy_ref.factors
+    assert (first.name, second.name) == ("so(8)+so(8)", "so(8)")
+    assert second is ss.catalog("S8").isotropy_ref
+    assert [f.name for f in first.factors] == ["so(8)", "so(8)"]
+
+
 def test_su2_group_round():
     curv = ss.curvature_operator(ss.catalog("SU2_group"))
     assert curv.spectrum() == [(1.0, 3)]
@@ -249,6 +260,20 @@ def test_product_of_catalog_spaces_is_blockwise(a, b):
     assert ex.is_zero(mat)
 
 
+def test_curvature_operator_checks_self_adjointness():
+    # one [m, m] constant off its pattern, at an h index where it was 0:
+    # ad(h)|_m keeps its old value, so R^M is no longer symmetric
+    s3 = ss.catalog("S3")
+    c = s3.g.structure.copy()
+    m0, m1 = s3.m_indices[:2]
+    k = next(k for k in s3.h_indices if c[m0, m1, k] == 0)
+    c[m0, m1, k], c[m1, m0, k] = ex.ONE, -ex.ONE
+    bad = dataclasses.replace(s3, g=dataclasses.replace(s3.g, structure=c))
+    with pytest.raises(ss.SymSpaceError,
+                       match="curvature operator failed exact self-adjointness"):
+        ss.curvature_operator(bad)
+
+
 def test_curvature_operator_memoized_per_space():
     s2 = ss.catalog("S2")
     curv = ss.curvature_operator(s2)
@@ -355,8 +380,7 @@ def test_scaled_integer_brackets_large_entries(monkeypatch):
         scaled = dataclasses.replace(
             curv, kernel_basis=curv.kernel_basis * Fraction(5**30, 3))
         num, _ = ex.scale_to_int(
-            np.concatenate([scaled.kernel_basis, scaled.image_basis], axis=1),
-            degree=2, terms=2 * space.m_dim)
+            np.concatenate([scaled.kernel_basis, scaled.image_basis], axis=1))
         assert num.dtype == object
         with monkeypatch.context() as patch:
             patch.setattr(ss, "curvature_operator", lambda _: scaled)
