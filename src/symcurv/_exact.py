@@ -67,7 +67,8 @@ def int_matmul(a, b):
     bound, every entry, product and partial sum is an integer under 2**53,
     which float64 (BLAS) sums exactly in any order; the max(1, .) keeps each
     operand convertible when the other is all zero."""
-    big_a, big_b = (max(1, int(np.abs(x).max(initial=0))) for x in (a, b))
+    big_a, big_b = (max(1, int(x.max(initial=0)), -int(x.min(initial=0)))
+                    for x in (a, b))
     if a.shape[-1] * big_a * big_b < 2**53:
         return (a.astype(float) @ b.astype(float)).astype(np.int64)
     return a.astype(object) @ b.astype(object)

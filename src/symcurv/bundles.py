@@ -223,6 +223,13 @@ def check_roundtrip(bundle, tol=None) -> IdentityReport:
     return _judge(res, images, 1, tol)
 
 
+def check_suite(bundle, tol=None):
+    """The reconstruction theorem's three checks, by name, in report order."""
+    return {"bracket_identity": check_bracket_identity(bundle, tol),
+            "kernel_inclusion": check_kernel_inclusion(bundle, tol),
+            "reconstruction_roundtrip": check_roundtrip(bundle, tol)}
+
+
 # ---------------------------------------------------------------------------
 # characteristic numbers
 
@@ -358,20 +365,14 @@ class BundleReport:
     rep_type: str
     components: tuple
     char: CharClassReport | None
-    bracket_ok: bool
-    kernel_ok: bool
-    roundtrip_ok: bool
+    checks: dict  # check_suite's IdentityReports
 
     def to_dict(self):
         return {
             "label": self.label, "rank": self.rank, "type": self.rep_type,
             "components": list(self.components),
             "char": None if self.char is None else self.char.to_dict(),
-            "verified": {
-                "bracket_identity": self.bracket_ok,
-                "kernel_inclusion": self.kernel_ok,
-                "reconstruction_roundtrip": self.roundtrip_ok,
-            },
+            "verified": {k: c.ok for k, c in self.checks.items()},
         }
 
 
@@ -458,11 +459,7 @@ def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
             reports.append(BundleReport(
                 label=lbl if len(nl) == 1 else "sum(" + ",".join(nl) + ")",
                 rank=nd, rep_type=kinds[i] if rep is None else "reducible",
-                components=nl, char=char,
-                bracket_ok=check_bracket_identity(bundle, tol=tol).ok,
-                kernel_ok=check_kernel_inclusion(bundle, tol=tol).ok,
-                roundtrip_ok=check_roundtrip(bundle, tol=tol).ok,
-            ))
+                components=nl, char=char, checks=check_suite(bundle, tol)))
             extend(i, nl, combined, nd)
 
     extend(0, (), None, 0)

@@ -156,13 +156,13 @@ def cmd_classify(args):
                      None if ch is None else ch.p1,
                      None if ch is None else ch.c1,
                      None if ch is None else ch.c2,
-                     r.bracket_ok, r.kernel_ok, r.roundtrip_ok))
+                     *(c.ok for c in r.checks.values())))
     if args.output == "text":
         write_lines("  ".join("-" if v is None else str(_round12(v))
                               for v in row) for row in rows)
     else:
         emit(data, args.output, csv_rows=rows)
-    ok = all(r.bracket_ok and r.kernel_ok and r.roundtrip_ok for r in reports)
+    ok = all(c.ok for r in reports for c in r.checks.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -175,16 +175,11 @@ def cmd_verify(args):
     ab = np.random.default_rng(args.seed).standard_normal(
         (50, 2, bundle.curv.dim))
     rand = float(bn.bracket_residuals(bundle, ab[:, 0], ab[:, 1]).max())
-    checks = {
-        "bracket_identity": bn.check_bracket_identity(bundle, tol=args.tol),
-        "bracket_identity_random": bn.IdentityReport(linalg.within(
-            rand / 10, bundle.blocks, 2, args.tol), rand),
-        "kernel_inclusion": bn.check_kernel_inclusion(bundle, tol=args.tol),
-        "reconstruction_roundtrip": bn.check_roundtrip(bundle, tol=args.tol),
-    }
+    checks = bn.check_suite(bundle, tol=args.tol)
+    checks["bracket_identity_random"] = bn.IdentityReport(linalg.within(
+        rand / 10, bundle.blocks, 2, args.tol), rand)
     irreducible = rp.is_irreducible(rep)
-    schur = sb.schur_constancy_check(bundle, samples=args.samples,
-                                     seed=args.seed, tol=args.tol)
+    schur = sb.schur_constancy_check(bundle, seed=args.seed, tol=args.tol)
     schur_status = ("pass" if schur.ok else
                     "fail" if irreducible else "not-applicable")
     checks_ok = all(c.ok for c in checks.values()) and schur_status != "fail"
@@ -273,7 +268,6 @@ def build_parser():
                         help="run the identity suite on a bundle")
     pv.add_argument("space")
     pv.add_argument("rep")
-    pv.add_argument("--samples", type=int, default=1000)
     pv.set_defaults(func=cmd_verify)
 
     ph = sub.add_parser("charclasses", parents=[common],
@@ -290,7 +284,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         bad_tol = args.tol is not None and not 0 < args.tol < float("inf")
         low = [f"--{o.replace('_', '-')} must be at least {m}" for o, m in
-               dict(samples=1, rank=0, weight_cap=0).items()
+               dict(rank=0, weight_cap=0).items()
                if getattr(args, o, m) < m]
         error = ("tolerance must be positive" if bad_tol else
                  low[0] if low else linalg.EPS_ERROR)

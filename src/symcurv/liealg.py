@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact as ex
+from .linalg import pair_index
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def make_so(n):
     """so(n) with basis E_ij (i < j, lexicographic) and <A,B> = tr(A^T B)/2."""
     if n < 2:
         raise ValueError("so(n) needs n >= 2")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = pair_index(n)
     mats = [so_generator(i, j, n) for i, j in pairs]
     labels = [f"E{i + 1}{j + 1}" for i, j in pairs]
     return _from_matrices(f"so({n})", labels, mats)

@@ -361,9 +361,7 @@ def cp_model(n):
                                  isotropy_ref=un)
     # rescale so that K(Z_1, W_1) = 4; sectional curvature scales as 1/c
     p = pair_index(2 * n).index((0, n))
-    scale = _curvature_matrix(space)[0][p, p] / 4
-    return make_symmetric_space(g, h_idx, [base * scale] * (2 * n), f"CP{n}",
-                                isotropy_ref=un)
+    return rescale_metric(space, _curvature_matrix(space)[0][p, p] / 4)
 
 
 def group_model():

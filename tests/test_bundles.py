@@ -251,7 +251,7 @@ def test_metric_rescaling(c):
                       bn.check_roundtrip):
             assert check(bundle).ok, (name, desc, c, check.__name__)
         if reps.is_irreducible(rep):
-            assert sb.schur_constancy_check(bundle, samples=50).ok, \
+            assert sb.schur_constancy_check(bundle).ok, \
                 (name, desc, c)
 
 
@@ -359,8 +359,16 @@ def test_classify_s4_rank4():
                    for r in reports)
     assert pairs == [(-1.0, -2.0), (0.0, -4.0), (0.0, 0.0), (0.0, 4.0),
                      (1.0, 2.0), (2.0, 0.0)]
-    assert all(r.bracket_ok and r.kernel_ok and r.roundtrip_ok
-               for r in reports)
+    assert all(c.ok for r in reports for c in r.checks.values())
+
+
+def test_verified_block_follows_check_suite():
+    space = ss.catalog("S2")
+    report = bn.classify_bundles(space, 2, weight_cap=1)[-1]
+    bundle = bn.induce(space, reps.spin2_irrep(1))
+    assert list(report.to_dict()["verified"]) == list(bn.check_suite(bundle))
+    assert list(bn.check_suite(bundle)) == [
+        "bracket_identity", "kernel_inclusion", "reconstruction_roundtrip"]
 
 
 def test_classify_s3():
@@ -576,8 +584,7 @@ def test_verify_random_residual_matches_loop(capsys):
             a = rng.standard_normal(b.curv.dim)
             c = rng.standard_normal(b.curv.dim)
             worst = max(worst, _residual_ref(b, a, c))
-        cli.main(["verify", name, desc, "--seed", str(seed),
-                  "--samples", "10"])
+        cli.main(["verify", name, desc, "--seed", str(seed)])
         got = json.loads(capsys.readouterr().out)
         assert got["checks"]["bracket_identity_random"]["residual"] == \
             cli._round12(worst)
@@ -599,7 +606,7 @@ def test_as_rep_without_isotropy_algebra(capsys):
     back = bn.recover_rho_hat(bare, blocks).as_rep()
     assert back.source.dim == 0 and back.images.shape == (0, 3, 3)
     # a zero isotropy algebra gives the same shape, so R2's roundtrip runs
-    assert cli.main(["verify", "R2", "trivial:2", "--samples", "5"]) == 0
+    assert cli.main(["verify", "R2", "trivial:2"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks["reconstruction_roundtrip"] == {"ok": True, "residual": 0.0}
 

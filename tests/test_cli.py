@@ -80,7 +80,7 @@ def test_classify_unsupported(capsys):
 
 
 def test_verify_pass(capsys):
-    code, out = run(capsys, "verify", "S4", "spin4:(1,0)", "--samples", "50")
+    code, out = run(capsys, "verify", "S4", "spin4:(1,0)")
     assert code == 0
     data = json.loads(out)
     assert data["all_passed"] is True
@@ -92,8 +92,7 @@ def test_verify_pass(capsys):
 
 
 def test_verify_reducible_schur_not_applicable(capsys):
-    code, out = run(capsys, "verify", "S4", "sum(spin4:(1,0),trivial:1)",
-                    "--samples", "50")
+    code, out = run(capsys, "verify", "S4", "sum(spin4:(1,0),trivial:1)")
     assert code == 0
     data = json.loads(out)
     assert data["checks"]["schur_constancy"]["status"] == "not-applicable"
@@ -110,7 +109,7 @@ def test_verify_schur_honours_tol(capsys):
 
 def test_verify_rank_zero(capsys):
     # a rank-0 bundle: the commutant has no unknowns and an empty basis
-    code, out = run(capsys, "verify", "S4", "trivial:0", "--samples", "10")
+    code, out = run(capsys, "verify", "S4", "trivial:0")
     assert code == cli.EXIT_OK
     data = json.loads(out)
     assert data["all_passed"] and data["rank"] == 0
@@ -156,7 +155,7 @@ def test_charclasses_alias(capsys):
     ("CP1xS2", "ext(un_det:1,spin2:2)", 4),
 ])
 def test_aliases_inside_sum_and_ext(capsys, space, desc, rank):
-    code, out = run(capsys, "verify", space, desc, "--samples", "50")
+    code, out = run(capsys, "verify", space, desc)
     assert code == 0
     assert json.loads(out)["rank"] == rank
 
@@ -219,9 +218,9 @@ def test_config_space_runs_bundle_commands(tmp_path, capsys):
     path.write_text("\n".join(
         ss.space_to_text(dataclasses.replace(ss.catalog(n), name=new))
         for n, new in names.items()))
-    for argv in (["verify", "S4", "spin4:(1,0)", "--samples", "50"],
+    for argv in (["verify", "S4", "spin4:(1,0)"],
                  ["charclasses", "S4", "spin4:(1,0)"],
-                 ["verify", "CP2", "un_fund:1", "--samples", "50"],
+                 ["verify", "CP2", "un_fund:1"],
                  ["charclasses", "CP2", "un_det:1"]):
         code, want = run(capsys, *argv)
         new = names[argv[1]]
@@ -260,13 +259,11 @@ def _assert_rejected_before_work(capsys, monkeypatch, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_samples_below_one_is_a_parse_error(capsys, monkeypatch, value):
-    # --samples 0 once skipped the Schur check and reported it passed
+def test_samples_is_not_an_option(capsys, monkeypatch):
+    # the Schur check draws a fixed number of samples
     _assert_rejected_before_work(
-        capsys, monkeypatch,
-        ["verify", "S4", "sum(spin4:(1,0),trivial:1)", "--samples", value],
-        "--samples must be at least 1")
+        capsys, monkeypatch, ["verify", "S4", "spin4:(1,0)", "--samples", "5"],
+        "unrecognized arguments: --samples 5")
 
 
 def test_negative_rank_is_a_parse_error(capsys, monkeypatch):
@@ -291,8 +288,6 @@ def test_least_option_values_still_run(capsys):
         == cli.EXIT_OK
     labels = [b["label"] for b in json.loads(capsys.readouterr().out)["bundles"]]
     assert labels == ["trivial:1", "sum(trivial:1,trivial:1)"]
-    assert cli.main(["verify", "S4", "spin4:(1,0)", "--samples", "1"]) == \
-        cli.EXIT_OK
 
 
 def _env(**extra):
@@ -319,7 +314,7 @@ def test_symcurv_tol_moves_every_verify_check():
     # the random-pair residual here is about 3.6e-15: far below 1e-8, far
     # above the 10 * SYMCURV_TOL bound every verify check is judged against
     res = subprocess.run([sys.executable, "-m", "symcurv.cli", "verify", "S4",
-                          "spin4:(1,0)", "--samples", "10"],
+                          "spin4:(1,0)"],
                          env=_env(SYMCURV_TOL="1e-20"), capture_output=True,
                          text=True)
     assert res.returncode == cli.EXIT_CHECK_FAILED, res.stderr
@@ -357,7 +352,7 @@ def test_tiny_symcurv_tol_still_builds_real_forms():
     # real_form tests its fixed space to float64 precision, so a tolerance
     # below rounding fails the checks it judges, not the construction
     res = subprocess.run([sys.executable, "-m", "symcurv.cli", "verify", "S4",
-                          "spin4:(2,0)", "--samples", "10"],
+                          "spin4:(2,0)"],
                          env=_env(SYMCURV_TOL="1e-20"), capture_output=True,
                          text=True)
     assert res.returncode == cli.EXIT_CHECK_FAILED and res.stderr == ""
@@ -371,7 +366,7 @@ def test_check_verdicts_follow_a_rescaled_metric(tmp_path):
         ss.rescale_metric(ss.catalog("S4"), Fraction(1, 10**6)), name="S4mm")
     path = tmp_path / "spaces.txt"
     path.write_text(ss.space_to_text(space))
-    common = ["--config", str(path), "--samples", "50"]
+    common = ["--config", str(path)]
     res = subprocess.run([sys.executable, "-m", "symcurv.cli", "verify",
                           "S4mm", "spin4:(3,2)", *common], env=_env(),
                          capture_output=True, text=True)
@@ -433,8 +428,8 @@ def test_verify_spinor8_peak_memory():
     # the commutant of the 32-dim spinor rep once took a (28672, 1024)
     # system and about 985 MB, then a (28672, 128) one and about 81 MB; the
     # checks now hold one chunk of their rows at a time, about 43 MB
-    out, peak_kb = _peak_rss_run("verify", "S8", "spinor:8", "--samples",
-                                 "10", SYMCURV_TOL="1e-9")  # the default
+    out, peak_kb = _peak_rss_run("verify", "S8", "spinor:8",
+                                 SYMCURV_TOL="1e-9")  # the default
     assert not json.loads(out)["checks"]["schur_constancy"]["irreducible"]
     assert peak_kb < 60 * 1024  # KiB on Linux
 
@@ -442,8 +437,7 @@ def test_verify_spinor8_peak_memory():
 def test_verify_spinor_sum_peak_memory():
     # the commutant's (21504, 256) system, held whole, took about 90 MB;
     # its closed-form normal matrix takes this to about 43 MB
-    out, peak_kb = _peak_rss_run("verify", "S7", "sum(spinor:7,spinor:7)",
-                                 "--samples", "10")
+    out, peak_kb = _peak_rss_run("verify", "S7", "sum(spinor:7,spinor:7)")
     assert json.loads(out)["all_passed"]
     assert peak_kb < 60 * 1024  # KiB on Linux
 
@@ -451,8 +445,7 @@ def test_verify_spinor_sum_peak_memory():
 def test_verify_spin4_peak_memory():
     # the commutant's constraint system took this to about 124 MB; its
     # closed-form normal matrix takes about 54 MB
-    out, peak_kb = _peak_rss_run("verify", "S4", "spin4:(12,12)",
-                                 "--samples", "10")
+    out, peak_kb = _peak_rss_run("verify", "S4", "spin4:(12,12)")
     assert json.loads(out)["all_passed"]
     assert peak_kb < 80 * 1024  # KiB on Linux
 
@@ -666,7 +659,7 @@ def test_config_with_h_to_ref_lines_still_loads(tmp_path, capsys):
     path = tmp_path / "spaces.txt"
     path.write_text(text)
     assert "h_to_ref" not in _renamed_text("CP2", "Old")
-    for argv in (["info"], ["verify", "un_fund:1", "--samples", "50"],
+    for argv in (["info"], ["verify", "un_fund:1"],
                  ["charclasses", "un_det:1"]):
         code, want = run(capsys, argv[0], "CP2", *argv[1:])
         got = run(capsys, argv[0], "Old", *argv[1:], "--config", str(path))

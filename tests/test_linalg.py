@@ -106,6 +106,12 @@ def test_int_matmul_matches_python_int_product():
         # inner * max|a| * max|b| just above 2**53, and the true product
         # 2**53 + 2**27 + 2**26 + 3 is odd, which float64 cannot hold
         ((np.array([[2**27 + 1, 1]]), np.array([[2**26 + 1], [2]])), object),
+        # the same switch with the large entries negative: the minimum, not
+        # only the maximum, sets each operand's bound
+        ((np.array([[-(2**53 - 1)]]), np.array([[1]])), np.int64),
+        ((np.array([[-(2**53)]]), np.array([[1]])), object),
+        ((np.array([[-(2**27 + 1), 1]]), np.array([[-(2**26 + 1)], [2]])),
+         object),
         # an all-zero operand times entries above 2**53, and above float range
         ((np.zeros((2, 3), dtype=np.int64), np.full((3, 2), 2**60 + 1)),
          object),

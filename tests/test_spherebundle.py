@@ -42,13 +42,13 @@ def test_c_tilde_spin2():
 
 
 def test_schur_constancy_pass():
-    rep = sb.schur_constancy_check(_bundle("S4", "spin4:(0,1)"), samples=200)
+    rep = sb.schur_constancy_check(_bundle("S4", "spin4:(0,1)"))
     assert rep.ok and rep.max_deviation < 1e-9
 
 
 def test_schur_constancy_reducible_fails():
     rep = sb.schur_constancy_check(
-        _bundle("S4", "sum(spin4:(1,0),trivial:1)"), samples=200)
+        _bundle("S4", "sum(spin4:(1,0),trivial:1)"))
     assert not rep.ok
     assert rep.max_deviation > 1e-3
 
@@ -60,15 +60,15 @@ def test_schur_check_fails_a_nan_block():
     blocks[0, 0, 1] = np.nan
     bad = bn.InducedBundle(good.space, good.rep, blocks, good.curv)
     assert not sb.c_tilde(bad).is_multiple_of_identity
-    assert not sb.schur_constancy_check(bad, samples=20).ok
+    assert not sb.schur_constancy_check(bad).ok
 
 
 def test_schur_deviation_keeps_a_nan(monkeypatch):
     # a NaN sample stays the worst deviation, also when finite ones follow
     bundle = _bundle("S4", "spin4:(1,0)")
-    values = iter([np.nan] + [3.0] * 9)
+    values = iter([np.nan] + [3.0] * (sb.SCHUR_SAMPLES - 1))
     monkeypatch.setattr(sb, "c_of", lambda ct, u: next(values))
-    rep = sb.schur_constancy_check(bundle, samples=10)
+    rep = sb.schur_constancy_check(bundle)
     assert np.isnan(rep.max_deviation) and not rep.ok
 
 

@@ -245,6 +245,8 @@ def test_product_of_catalog_spaces_is_blockwise(a, b):
     assert rep.dim_image == ca.dim_image + cb.dim_image
     assert rep.holds == (ca.holds and cb.holds
                          and sa.flat_dim * sb.flat_dim == 0)
+    # the brackets span all of ker R^M but the flat bivectors
+    assert rep.dim_kernel - rep.dim_span_bracket == math.comb(prod.flat_dim, 2)
     want = reps.external_sum(ss.isotropy_rep(sa), ss.isotropy_rep(sb))
     assert ss.isotropy_rep(prod).images.tobytes() == want.images.tobytes()
     # R^M on the A-pairs and on the B-pairs is each factor's, zero elsewhere
