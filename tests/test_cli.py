@@ -259,11 +259,14 @@ def _assert_rejected_before_work(capsys, monkeypatch, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_samples_is_not_an_option(capsys, monkeypatch):
-    # the Schur check draws a fixed number of samples
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_samples_below_one_is_a_parse_error(capsys, monkeypatch, value):
+    # --samples 0 once skipped the Schur check and reported it passed; the
+    # check now draws a fixed number of samples and --samples is no option
     _assert_rejected_before_work(
-        capsys, monkeypatch, ["verify", "S4", "spin4:(1,0)", "--samples", "5"],
-        "unrecognized arguments: --samples 5")
+        capsys, monkeypatch,
+        ["verify", "S4", "sum(spin4:(1,0),trivial:1)", "--samples", value],
+        f"unrecognized arguments: --samples {value}")
 
 
 def test_negative_rank_is_a_parse_error(capsys, monkeypatch):
