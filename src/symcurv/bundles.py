@@ -15,21 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _exact as ex
-from . import liealg
+from . import liealg, linalg
 from . import reps as rp
 from . import symspace as ss
 from .linalg import (
     INTEGRALITY_TOL,
-    SQRT_EPS,
     NotInImage,
     bivector_bracket,
-    bivector_coeffs_from_skew,
     combine,
     is_integral,
-    pair_index,
-    project,
     row_chunks,
-    row_norms,
     within,
 )
 from .reps import SourceMismatch
@@ -86,6 +81,33 @@ class IdentityReport:
 
 
 @dataclass(frozen=True)
+class Holonomy:
+    """Im R^M as reconstruction reads it (SymmetricSpaceModel.holonomy)."""
+    frame: np.ndarray  # (N_biv, r) orthonormal: Q of image_basis = Q r
+    from_cols: np.ndarray  # (r^-1)^T: frame col t = sum_s [t, s] image col s
+    bracket_coeffs: np.ndarray  # [frame_i, frame_j] in the frame, pairs i < j
+    bracket_off: float  # largest norm of a pair bracket's part off the frame
+    isotropy: np.ndarray | None  # isotropy images in the frame; None off it
+
+
+def build_holonomy(curv, n, tangent) -> Holonomy:
+    """Holonomy of curv, on Lambda^2(R^n), with the isotropy rep tangent."""
+    frame, r = np.linalg.qr(ex.to_float(curv.image_basis))
+    (pi, pj), rank = np.triu_indices(frame.shape[1], 1), frame.shape[1]
+    coeffs, off = np.empty((len(pi), rank)), 0.0
+    for s in row_chunks(len(pi), n * n):
+        coeffs[s], o = linalg.project(frame, bivector_bracket(
+            frame.T[pi[s]], frame.T[pj[s]], n))
+        off = max(off, float(linalg.row_norms(o).max(initial=0.0)))
+    biv = linalg.bivector_coeffs_from_skew(tangent.images)
+    iso, iso_off = linalg.project(frame, biv)
+    if np.any(linalg.row_norms(iso_off)
+              > linalg.SQRT_EPS * linalg.row_norms(biv)):
+        iso = None
+    return Holonomy(frame, np.linalg.inv(r).T, coeffs, off, iso)
+
+
+@dataclass(frozen=True)
 class RecoveredHom:
     space: ss.SymmetricSpaceModel
     image_basis: np.ndarray  # (N_biv, r): orthonormal basis of Im R^M
@@ -96,13 +118,11 @@ class RecoveredHom:
         """rho-hat composed with the isotropy identification: a rep of the
         isotropy algebra (of the zero algebra when the space has
         none)."""
-        tangent = ss.isotropy_rep(self.space)
-        biv = bivector_coeffs_from_skew(tangent.images)
-        coeffs, off = project(self.image_basis, biv)
-        if np.any(row_norms(off) > SQRT_EPS * row_norms(biv)):
+        coeffs = self.space.holonomy.isotropy
+        if coeffs is None:
             raise NotInImage("isotropy image is not contained in Im R^M")
-        return rp.AlgebraRep(tangent.source, combine(coeffs, self.images),
-                             label="recovered")
+        return rp.AlgebraRep(ss.isotropy_rep(self.space).source,
+                             combine(coeffs, self.images), label="recovered")
 
 
 def check_source(space, rep):
@@ -192,22 +212,20 @@ def recover_rho_hat(space, blocks) -> RecoveredHom:
         raise KernelNotIncluded(
             f"candidate curvature does not vanish on ker R^M "
             f"(kernel vector {kernel.witness})")
-    # image column s is R^M e_{c_s}, so rho-hat sends it to blocks[c_s]; the
-    # orthonormal img = image_basis r^-1 goes to the same combinations
-    img, r = np.linalg.qr(ex.to_float(curv.image_basis))
-    images = combine(np.linalg.inv(r).T, blocks[curv.image_cols])
-    # homomorphism residual on the holonomy algebra, over all pairs i < j;
-    # np.max keeps a NaN, which max() would drop
-    (pi, pj), n, worst = np.triu_indices(img.shape[1], 1), space.m_dim, 0.0
-    for s in row_chunks(len(pi), max(blocks.shape[1], n) ** 2):
+    # image column s is R^M e_{c_s}, so rho-hat sends it to blocks[c_s], and
+    # the holonomy frame to the same combinations of them
+    hol = space.holonomy
+    images = combine(hol.from_cols, blocks[curv.image_cols])
+    # residual over the frame pairs i < j; np.max keeps a NaN, max() drops it
+    (pi, pj), worst = np.triu_indices(len(images), 1), hol.bracket_off
+    for s in row_chunks(len(pi), blocks.shape[1] ** 2):
         i, j = pi[s], pj[s]
-        coeffs, off = project(img, bivector_bracket(img.T[i], img.T[j], n))
         rhs = images[i] @ images[j] - images[j] @ images[i]
-        worst = float(np.max([worst, row_norms(off).max(initial=0.0), np.abs(
-            combine(coeffs, images) - rhs).max(initial=0.0)]))
+        worst = float(np.max([worst, np.abs(combine(
+            hol.bracket_coeffs[s], images) - rhs).max(initial=0.0)]))
     if not within(worst, blocks, 2, recover=True):
         raise NotHomomorphism("reconstructed map is not a homomorphism", worst)
-    return RecoveredHom(space=space, image_basis=img, images=images,
+    return RecoveredHom(space=space, image_basis=hol.frame, images=images,
                         hom_residual=worst)
 
 
@@ -259,30 +277,15 @@ def _base_geometry(space, curv):
     n = space.m_dim
     if n not in (2, 4):
         raise UnsupportedBase(f"{space.name}: base must be 2- or 4-dimensional")
-    mat = curv.matrix
-    k = mat[0, 0]
-    if not ex.is_zero(mat - k * ex.feye(mat.shape[0])) or k <= 0:
+    if not curv.kappa or curv.kappa < 0:  # None, 0 or negative
         raise UnsupportedBase(
             f"{space.name}: curvature operator is not a positive multiple "
             f"of the identity")
-    return n, float(k)
+    return n, float(curv.kappa)
 
 
-_PARTS4 = (((0, 1), (2, 3), 1.0), ((0, 2), (1, 3), -1.0), ((0, 3), (1, 2), 1.0))
-
-
-def _frame_form(bundle):
-    pairs = pair_index(bundle.space.m_dim)
-    idx = {p: i for i, p in enumerate(pairs)}
-
-    def f(a, b):
-        if a == b:
-            return np.zeros((bundle.rank, bundle.rank))
-        if a < b:
-            return bundle.blocks[idx[(a, b)]]
-        return -bundle.blocks[idx[(b, a)]]
-
-    return f
+# the pfaffian's pairings e12 e34 - e13 e24 + e14 e23, by Lambda^2 position
+_PARTS4 = ((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0))
 
 
 def _complex_trace(m, jc):
@@ -314,31 +317,27 @@ def characteristic_numbers(bundle, tolerance=INTEGRALITY_TOL) -> CharClassReport
     rank 4 over a 4-dimensional base; p1 is computed over any 4-dimensional
     base; c1 (surface) and c2 (4-dimensional base) need a complex structure.
     """
-    space, rep = bundle.space, bundle.rep
+    space, f, jc = bundle.space, bundle.blocks, bundle.rep.complex_structure
     n, kappa = _base_geometry(space, bundle.curv)
-    f = _frame_form(bundle)
-    jc = rep.complex_structure
     euler = p1 = c1 = c2 = None
     if n == 2:
         vol = 4 * math.pi / kappa
-        f12 = f(0, 1)
         if bundle.rank == 2:
-            euler = f12[1, 0] * vol / (2 * math.pi)
+            euler = f[0][1, 0] * vol / (2 * math.pi)
         if jc is not None:
-            tr = _complex_trace(f12, jc)
-            c1 = tr.imag * vol / (2 * math.pi)
+            c1 = _complex_trace(f[0], jc).imag * vol / (2 * math.pi)
     else:
         vol = (8 * math.pi ** 2 / 3) / kappa ** 2
-        trff = sum(2 * s * np.trace(f(*p) @ f(*q)) for p, q, s in _PARTS4)
+        trff = sum(2 * s * np.trace(f[p] @ f[q]) for p, q, s in _PARTS4)
         p1 = -trff * vol / (8 * math.pi ** 2)
         if bundle.rank == 4:
-            pf = sum(s * (_pf4_bilinear(f(*p), f(*q))) for p, q, s in _PARTS4)
+            pf = sum(s * (_pf4_bilinear(f[p], f[q])) for p, q, s in _PARTS4)
             euler = pf * vol / (4 * math.pi ** 2)
         if jc is not None:
-            trcff = sum(2 * s * _complex_trace(f(*p) @ f(*q), jc)
+            trcff = sum(2 * s * _complex_trace(f[p] @ f[q], jc)
                         for p, q, s in _PARTS4)
-            trc1 = sum(2 * s * _complex_trace(f(*p), jc)
-                       * _complex_trace(f(*q), jc) for p, q, s in _PARTS4)
+            trc1 = sum(2 * s * _complex_trace(f[p], jc)
+                       * _complex_trace(f[q], jc) for p, q, s in _PARTS4)
             val = (trcff - trc1) * vol / (8 * math.pi ** 2)
             if abs(val.imag) > tolerance:
                 raise BundleError("c2 density has a nonreal value")
@@ -348,11 +347,8 @@ def characteristic_numbers(bundle, tolerance=INTEGRALITY_TOL) -> CharClassReport
 
 
 def _pf4_bilinear(a, b):
-    return _pf4_polarized(a, b) + _pf4_polarized(b, a)
-
-
-def _pf4_polarized(a, b):
-    return a[0, 1] * b[2, 3] - a[0, 2] * b[1, 3] + a[0, 3] * b[1, 2]
+    return (a[0, 1] * b[2, 3] - a[0, 2] * b[1, 3] + a[0, 3] * b[1, 2]) + (
+        b[0, 1] * a[2, 3] - b[0, 2] * a[1, 3] + b[0, 3] * a[1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -442,27 +438,28 @@ def classify_bundles(space, rank_bound, weight_cap=6, tol=None):
     irreps = catalog_irreps(space, rank_bound, weight_cap=weight_cap)
     kinds = [_rep_type(r) for _, r in irreps]
     reports = []
-
-    def extend(start, labels, rep, dim):
-        for i in range(start, len(irreps)):
-            lbl, r = irreps[i]
-            nd = dim + r.target_dim
-            if nd > rank_bound:
-                continue
-            combined = r if rep is None else rp.direct_sum(rep, r)
-            nl = labels + (lbl,)
-            bundle = induce(space, combined)
-            try:
-                char = characteristic_numbers(bundle)
-            except UnsupportedBase:
-                char = None
-            reports.append(BundleReport(
-                label=lbl if len(nl) == 1 else "sum(" + ",".join(nl) + ")",
-                rank=nd, rep_type=kinds[i] if rep is None else "reducible",
-                components=nl, char=char, checks=check_suite(bundle, tol)))
-            extend(i, nl, combined, nd)
-
-    extend(0, (), None, 0)
+    # depth first; a frame (i, prefix): the sums extending prefix by irreps[i:]
+    stack = [(0, (), None, 0)]
+    while stack:
+        i, labels, rep, dim = stack.pop()
+        if i + 1 < len(irreps):
+            stack.append((i + 1, labels, rep, dim))
+        lbl, r = irreps[i]
+        nd = dim + r.target_dim
+        if nd > rank_bound:
+            continue
+        combined = r if rep is None else rp.direct_sum(rep, r)
+        nl = labels + (lbl,)
+        bundle = induce(space, combined)
+        try:
+            char = characteristic_numbers(bundle)
+        except UnsupportedBase:
+            char = None
+        reports.append(BundleReport(
+            label=lbl if len(nl) == 1 else "sum(" + ",".join(nl) + ")",
+            rank=nd, rep_type=kinds[i] if rep is None else "reducible",
+            components=nl, char=char, checks=check_suite(bundle, tol)))
+        stack.append((i, nl, combined, nd))
     # labels are unique, so this order is total
     reports.sort(key=lambda r: (r.rank, r.label))
     return reports

@@ -44,17 +44,19 @@ def _structure_from_matrices(mats):
 
     With the matrices scaled to integers M_i = D X_i, the Gram matrix
     2 D^2 <X_i, X_j> and every pairing 2 D^3 <X_k, [X_i, X_j]> are int_matmul
-    products, the commutators taken one i at a time so that no array holds
-    them all. One exact inverse of the Gram matrix, brought to a common
-    denominator, turns all pairings into coefficients with one integer product.
+    products. One exact inverse of the Gram matrix, brought to a common
+    denominator, turns the pairings into coefficients by integer products,
+    one i at a time, so that no (dim, dim, dim) integer array is formed.
     """
     m, den = ex.scale_to_int(np.stack(mats))
     flat = m.reshape(len(m), -1)
     gram = ex.int_matmul(flat, flat.T)
-    comm = (ex.int_matmul(mi, m) - ex.int_matmul(m, mi) for mi in m)
-    rhs = np.array([ex.int_matmul(c.reshape(flat.shape), flat.T) for c in comm])
     inv, inv_den = ex.scale_to_int(ex.inverse(ex.farray(gram.tolist())))
-    c = ex.from_scaled_int(ex.int_matmul(rhs, inv.T), den * inv_den)
+    c = ex.fzeros((len(m),) * 3)
+    for i, mi in enumerate(m):
+        comm = (ex.int_matmul(mi, m) - ex.int_matmul(m, mi)).reshape(flat.shape)
+        c[i] = ex.from_scaled_int(ex.int_matmul(ex.int_matmul(comm, flat.T),
+                                                inv.T), den * inv_den)
     return c, ex.from_scaled_int(gram, 2 * den * den)
 
 
@@ -267,7 +269,7 @@ def _jacobi_failures(c):
 
 def to_text(alg):
     """Serialize to the structured text format: sparse rational entries of
-    the structure constants, the inner product and the matrix realization."""
+    the structure constants, inner product, matrix realization and factors."""
     lines = [f"algebra {alg.name}", f"dim {alg.dim}", "labels " + " ".join(alg.basis_labels)]
     if alg.complex_n is not None:
         lines.append(f"complex_n {alg.complex_n}")
@@ -279,6 +281,8 @@ def to_text(alg):
         lines.append(f"matrix_size {alg.matrices[0].shape[0] if alg.dim else 1}")
         lines += [f"mat {t} {r} {s} {v}" for t, m in enumerate(alg.matrices)
                   for (r, s), v in np.ndenumerate(m) if v != 0]
+    for f, factor in enumerate(alg.factors):  # nested, prefixed factor0, 1
+        lines += [f"factor{f} {line}" for line in to_text(factor).splitlines()]
     return "\n".join(lines) + "\n"
 
 
@@ -301,9 +305,12 @@ def header_int(head, key):
 
 def from_text(text):
     head, entries = {}, {"c": [], "ip": [], "mat": []}
+    blocks = {"factor0": [], "factor1": []}
     for raw in text.splitlines():
         parts = raw.split()
-        if parts and parts[0] in entries:
+        if parts and parts[0] in blocks:
+            blocks[parts[0]].append(" ".join(parts[1:]))
+        elif parts and parts[0] in entries:
             entries[parts[0]].append((list(map(int, parts[1:-1])), Fraction(parts[-1])))
         elif parts:  # header lines; unknown keys and comments are ignored
             head[parts[0]] = parts[1:]
@@ -323,9 +330,18 @@ def from_text(text):
         for (t, r, s), v in checked_entries("mat", entries["mat"],
                                             (dim, size, size)):
             mats[t][r, s] = v
+    name, lo = " ".join(head["algebra"]), 0
+    factors = tuple(from_text("\n".join(v)) for v in blocks.values() if v)
+    if factors and (len(factors) != 2 or sum(f.dim for f in factors) != dim):
+        raise ValueError(f"factor blocks of {name} do not split its dimension")
+    for f, hi in zip(factors, (factors[0].dim, dim) if factors else ()):
+        if (f.structure != c[lo:hi, lo:hi, lo:hi]).any():  # its diagonal block
+            raise ValueError(f"factor {f.name} differs from its block of {name}")
+        lo = hi
     return LieAlgebraModel(
-        name=" ".join(head["algebra"]), dim=dim,
+        name=name, dim=dim,
         basis_labels=tuple(head.get("labels") or (f"X{k + 1}" for k in range(dim))),
         structure=c, inner_product=ip, matrices=mats,
         complex_n=header_int(head, "complex_n") if "complex_n" in head else None,
+        factors=factors,
     )

@@ -89,8 +89,14 @@ class SymmetricSpaceModel:
         return out
 
     @functools.cached_property
+    def holonomy(self):
+        """Im R^M as bundles.Holonomy, once per space; info never loads it."""
+        from .bundles import build_holonomy  # local import to avoid a cycle
+        return build_holonomy(self._curvature, self.m_dim, isotropy_rep(self))
+
+    @functools.cached_property
     def _curvature(self):
-        # memo behind curvature_operator(), its only reader. A kernel column's
+        # memo behind curvature_operator() and holonomy. A kernel column's
         # last nonzero is on its free column; R^M's pivot columns span Im R^M.
         mat, hc = _curvature_matrix(self)
         kernel = ex.nullspace(mat)
@@ -115,6 +121,12 @@ class CurvatureOperator:
     def image_basis(self):
         """Exact columns spanning Im R^M: R^M's pivot columns."""
         return self.matrix[:, self.image_cols]
+
+    @functools.cached_property
+    def kappa(self):
+        """k when R^M = k I exactly, else None."""
+        k = self.matrix[0, 0] if self.dim else ex.ZERO
+        return k if ex.is_zero(self.matrix - k * ex.feye(self.dim)) else None
 
     @functools.cached_property
     def float_matrix(self):

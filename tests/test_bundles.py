@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import json
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -660,3 +662,114 @@ def test_batched_recover_matches_loop():
         outcomes.add(img.shape[1])
     # both rejections, and the r <= 1 cases (R2: r = 0, CP1: r = 1)
     assert {bn.KernelNotIncluded, bn.NotHomomorphism, 0, 1} <= outcomes
+
+
+def test_classify_derives_per_space_data_once(monkeypatch):
+    # a fresh copy, so that no memo of the catalog space is warm: the frame's
+    # QR and the exact R^M = kappa I test run once, not once per bundle
+    space = dataclasses.replace(ss.catalog("CP2"))
+    calls = {"qr": 0, "is_zero": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(ex, "is_zero", counted("is_zero", ex.is_zero))
+    assert len(bn.classify_bundles(space, 4)) == 50
+    assert calls == {"qr": 1, "is_zero": 1}
+
+
+_PARTS4_REF = (((0, 1), (2, 3), 1.0), ((0, 2), (1, 3), -1.0),
+               ((0, 3), (1, 2), 1.0))
+
+
+def _frame_form_ref(bundle):
+    """The curvature form as a function of an ordered frame pair."""
+    idx = {p: i for i, p in enumerate(pair_index(bundle.space.m_dim))}
+
+    def f(a, b):
+        if a == b:
+            return np.zeros((bundle.rank, bundle.rank))
+        if a < b:
+            return bundle.blocks[idx[(a, b)]]
+        return -bundle.blocks[idx[(b, a)]]
+
+    return f
+
+
+def _pf4_ref(a, b):
+    def polarized(a, b):
+        return a[0, 1] * b[2, 3] - a[0, 2] * b[1, 3] + a[0, 3] * b[1, 2]
+    return polarized(a, b) + polarized(b, a)
+
+
+def _characteristic_numbers_ref(bundle):
+    """characteristic_numbers(bundle).to_dict() read through a frame-pair
+    function, with the exact R^M = kappa I test run per call."""
+    mat = bundle.curv.matrix
+    kappa = mat[0, 0]
+    assert ex.is_zero(mat - kappa * ex.feye(len(mat))) and kappa > 0
+    kappa, f, jc = float(kappa), _frame_form_ref(bundle), \
+        bundle.rep.complex_structure
+    out = {"base": bundle.space.name, "rank": bundle.rank, "euler": None,
+           "p1": None, "c1": None, "c2": None}
+    if bundle.space.m_dim == 2:
+        vol = 4 * np.pi / kappa
+        if bundle.rank == 2:
+            out["euler"] = f(0, 1)[1, 0] * vol / (2 * np.pi)
+        if jc is not None:
+            out["c1"] = bn._complex_trace(f(0, 1), jc).imag * vol / (2 * np.pi)
+        return out
+    vol = (8 * np.pi ** 2 / 3) / kappa ** 2
+    trff = sum(2 * s * np.trace(f(*p) @ f(*q)) for p, q, s in _PARTS4_REF)
+    out["p1"] = -trff * vol / (8 * np.pi ** 2)
+    if bundle.rank == 4:
+        pf = sum(s * _pf4_ref(f(*p), f(*q)) for p, q, s in _PARTS4_REF)
+        out["euler"] = pf * vol / (4 * np.pi ** 2)
+    if jc is not None:
+        trcff = sum(2 * s * bn._complex_trace(f(*p) @ f(*q), jc)
+                    for p, q, s in _PARTS4_REF)
+        trc1 = sum(2 * s * bn._complex_trace(f(*p), jc)
+                   * bn._complex_trace(f(*q), jc) for p, q, s in _PARTS4_REF)
+        out["c2"] = ((trcff - trc1) * vol / (8 * np.pi ** 2)).real
+    return out
+
+
+def test_characteristic_numbers_match_frame_pair_reference():
+    seen = set()
+    for name, rank in [("S2", 4), ("S4", 4), ("CP1", 4)]:
+        space = ss.catalog(name)
+        pool = [r for _, r in bn.catalog_irreps(space, rank)]
+        sums = [reps.direct_sum(a, b)
+                for a, b in itertools.combinations_with_replacement(pool, 2)]
+        for rep in pool + sums:
+            bundle = bn.induce(space, rep)
+            got = bn.characteristic_numbers(bundle).to_dict()
+            want = _characteristic_numbers_ref(bundle)
+            # repr tells -0.0 from 0.0, so equal reprs are equal bits
+            assert repr(got) == repr(want), (name, rep.label)
+            seen.update(k for k, v in got.items() if v is not None)
+    assert {"euler", "p1", "c1", "c2"} <= seen
+
+
+def test_classify_walks_deep_multisets_without_recursion():
+    # 200 copies of trivial:1 nest 200 summands deep. The better of two
+    # timed walks is judged, so that one stall of the BLAS threads (seen
+    # once in about ten runs on 2 vCPUs) does not decide it
+    space = ss.catalog("S2")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            reports = bn.classify_bundles(space, 200, weight_cap=0)
+            times.append(time.perf_counter() - start)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [r.rank for r in reports] == list(range(1, 201))
+    assert all(c.ok for r in reports for c in r.checks.values())
+    assert min(times) < 1.0

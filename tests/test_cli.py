@@ -667,3 +667,57 @@ def test_config_with_h_to_ref_lines_still_loads(tmp_path, capsys):
         code, want = run(capsys, argv[0], "CP2", *argv[1:])
         got = run(capsys, argv[0], "Old", *argv[1:], "--config", str(path))
         assert got == (code, want.replace('"CP2"', '"Old"')), argv
+
+
+def test_input_too_large_for_memory_is_unsupported(capsys):
+    # its images would take 2.4 PB, so the allocation fails at once
+    code, err = _run_err(capsys, "verify", "S3", "trivial:10000000")
+    assert code == cli.EXIT_UNSUPPORTED
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _algebra_tree(alg):
+    return alg.name, alg.dim, alg.complex_n, tuple(map(_algebra_tree,
+                                                       alg.factors))
+
+
+@pytest.mark.parametrize("name", ["S2xS3", "CP1xS2", "S2xS3xS4"])
+def test_config_product_keeps_isotropy_factors(name):
+    want = _algebra_tree(ss.catalog(name).isotropy_ref)
+    text = _renamed_text(name, "P")
+    assert _algebra_tree(ss.space_from_text(text).isotropy_ref) == want
+    assert want[3]  # the factors, nested on S2xS3xS4
+    # a file written before factors were kept still loads, without them
+    old = ss.space_from_text("".join(
+        line for line in text.splitlines(keepends=True)
+        if not line.startswith("isotropy factor")))
+    assert _algebra_tree(old.isotropy_ref) == want[:3] + ((),)
+
+
+@pytest.mark.parametrize("name, desc", [
+    ("S2xS3", "ext(trivial:1,spinor:3)"), ("CP1xS2", "ext(un_det:1,spin2:2)")])
+def test_config_product_builds_ext_on_its_factors(tmp_path, capsys, name,
+                                                   desc):
+    path = tmp_path / "spaces.txt"
+    path.write_text(_renamed_text(name, "P"))
+    code, want = run(capsys, "verify", name, desc)
+    got = run(capsys, "verify", "P", desc, "--config", str(path))
+    assert code == 0
+    assert got == (code, want.replace(f'"{name}"', '"P"'))
+
+
+@pytest.mark.parametrize("old, new, want", [
+    # so(3)'s bracket doubled
+    ("isotropy factor1 c 0 1 2 1\n", "isotropy factor1 c 0 1 2 2\n",
+     "factor so(3) differs from its block of so(2)+so(3)"),
+    # so(2) claimed to have dimension 2
+    ("isotropy factor0 dim 1\n", "isotropy factor0 dim 2\n",
+     "factor blocks of so(2)+so(3) do not split its dimension"),
+], ids=["structure", "dimension"])
+def test_config_factor_not_matching_its_block_is_a_parse_error(
+        tmp_path, capsys, old, new, want):
+    text = _renamed_text("S2xS3", "Bad")
+    assert "\n" + old in text
+    code, err = _config_err(tmp_path, capsys, text.replace("\n" + old,
+                                                           "\n" + new), "Bad")
+    assert (code, err) == (cli.EXIT_PARSE_ERROR, f"error: {want}\n")
