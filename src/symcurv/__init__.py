@@ -1,7 +1,8 @@
 """Curvature of parallel connections over symmetric spaces.
 
 Modules:
-    linalg       bivector/skew identification, clustered spectra, exact kernels
+    _exact       exact rational kernels, pivots and solves; scaled integers
+    linalg       bivector/skew identification, clustered spectra, tolerances
     liealg       exact-rational Lie algebra models (so(n), su(n), u(n), products)
     symspace     Cartan pairs, curvature operators, Condition A, space catalog
     reps         orthogonal representations and type classification

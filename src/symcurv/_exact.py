@@ -91,7 +91,7 @@ def is_zero(a):
 
 
 def _rref(m):
-    """Reduced row echelon form (in place on a copy). Returns (rref, pivot cols)."""
+    """Reduced row echelon form of Fractions or ints, on a copy: (rref, pivots)."""
     m = np.array(m, dtype=object)
     rows, cols = m.shape
     pivots = []
@@ -106,7 +106,7 @@ def _rref(m):
             continue
         if pr != r:
             m[[pr, r]] = m[[r, pr]]
-        m[r] = m[r] / m[r, c]
+        m[r] = m[r] / Fraction(m[r, c])
         for i in range(rows):
             if i != r and m[i, c] != 0:
                 m[i] = m[i] - m[i, c] * m[r]
@@ -122,17 +122,16 @@ def rank(m):
 
 
 def nullspace(m):
-    """Columns spanning the exact kernel of m (shape (ncols, nullity))."""
-    m = np.asarray(m, dtype=object)
-    rows, cols = m.shape
+    """(columns spanning the exact kernel of m, shape (ncols, nullity), and
+    the pivot columns of its elimination, which span m's column space)."""
     red, pivots = _rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = fzeros((cols, len(free)))
+    free = [c for c in range(red.shape[1]) if c not in pivots]
+    basis = fzeros((red.shape[1], len(free)))
     for k, fc in enumerate(free):
         basis[fc, k] = ONE
         for r, pc in enumerate(pivots):
             basis[pc, k] = -red[r, fc]
-    return basis
+    return basis, pivots
 
 
 def column_space(m):

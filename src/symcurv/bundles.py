@@ -139,7 +139,7 @@ def induce(space, rep) -> InducedBundle:
     """Curvature of the bundle attached to rep via R^E = rho o pihat^-1 o R^M."""
     check_source(space, rep)
     curv = ss.curvature_operator(space)
-    blocks = combine(ex.to_float(curv.h_coeff), rep.images)
+    blocks = combine(curv.float_h_coeff, rep.images)
     return InducedBundle(space=space, rep=rep, blocks=blocks, curv=curv)
 
 
@@ -183,8 +183,8 @@ def check_bracket_identity(bundle, tol=None) -> IdentityReport:
 
 def _kernel_report(curv, blocks, tol=None, recover=False):
     """max |R^E v| for each vector v of the exact basis of ker R^M, judged."""
-    ker = ex.to_float(curv.kernel_basis)
-    res = np.abs(combine(ker.T, blocks)).max(axis=(-2, -1), initial=0.0)
+    res = np.abs(combine(curv.float_kernel.T, blocks)).max(axis=(-2, -1),
+                                                          initial=0.0)
     return _judge(res, blocks, 1, tol, recover)
 
 

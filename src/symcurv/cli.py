@@ -221,19 +221,6 @@ def cmd_charclasses(args):
     return EXIT_OK
 
 
-def _add_common(parser, suppress=False):
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--output", choices=("json", "csv", "text"),
-                        default=d or "json")
-    parser.add_argument("--tol", type=float, default=d,
-                        help="tolerance override for numeric checks")
-    parser.add_argument("--seed", type=int, default=d if suppress else 0,
-                        help="seed for randomized property checks")
-    parser.add_argument("--config", default=d,
-                        help="file with user-defined spaces "
-                             "(serialization format)")
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors, so main reports them as every parse error."""
 
@@ -246,9 +233,17 @@ def build_parser():
         prog="symcurv",
         description="Curvature of parallel connections over symmetric spaces",
     )
-    _add_common(p)
+    # the options every command takes, after the command name
     common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
+    common.add_argument("--output", choices=("json", "csv", "text"),
+                        default="json")
+    common.add_argument("--tol", type=float,
+                        help="tolerance override for numeric checks")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for randomized property checks")
+    common.add_argument("--config",
+                        help="file with user-defined spaces "
+                             "(serialization format)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pi = sub.add_parser("info", parents=[common],

@@ -7,7 +7,6 @@ float64. Spectral routines are float-only.
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,11 +97,6 @@ def pair_index(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-@dataclass
-class EigenDecomposition:
-    pairs: list  # [(eigenvalue, orthonormal basis as columns)]
-
-
 def skew_from_bivector_coeffs(coeffs, n):
     """Linear extension of e_i ^ e_j -> matrix with (j,i)=+1, (i,j)=-1.
     Leading axes of coeffs are kept: a stack of vectors gives a stack of
@@ -171,14 +165,14 @@ def row_chunks(rows, entries_per_row):
     return [slice(s, s + step) for s in range(0, max(rows, 1), step)]
 
 
-def eig_sym(m) -> EigenDecomposition:
-    """Eigenvalues of a symmetric matrix, clustered at gaps of at most
-    SQRT_EPS times the largest magnitude, each with an orthonormal basis of
-    its eigenspace. The cluster whose mean is within that gap of 0 is the
+def eig_sym(m):
+    """[(eigenvalue, orthonormal basis of its eigenspace as columns)] of a
+    symmetric matrix, clustered at gaps of at most SQRT_EPS times the largest
+    magnitude. The cluster whose mean is within that gap of 0 is the
     kernel, with eigenvalue exactly 0.0."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
-        return EigenDecomposition(pairs=[])
+        return []
     vals, vecs = np.linalg.eigh(m)
     gap = SQRT_EPS * np.abs(vals).max()
     bounds = [0, *(1 + np.flatnonzero(np.diff(vals) > gap)), len(vals)]
@@ -189,4 +183,4 @@ def eig_sym(m) -> EigenDecomposition:
     recon = sum(lam * (basis @ basis.T) for lam, basis in pairs)
     if float(np.abs(recon - m).max()) > gap:
         raise NotSymmetric("spectral reconstruction residual exceeds tolerance")
-    return EigenDecomposition(pairs=pairs)
+    return pairs

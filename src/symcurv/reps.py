@@ -66,7 +66,6 @@ class AlgebraRep:
 class RepType:
     kind: str  # "real" | "complex" | "quaternionic"
     commutant_dim: int
-    witness: np.ndarray | None = None
 
 
 def _complex_rep(source, images, label, jmat=None, sign=0):
@@ -97,11 +96,8 @@ def _complex_images(alg):
 # ---------------------------------------------------------------------------
 # constructors
 
-def trivial_rep(source, k, label=None):
-    return AlgebraRep(
-        source=source, images=np.zeros((source.dim, k, k)),
-        label=label or f"trivial:{k}",
-    )
+def trivial_rep(source, k):
+    return AlgebraRep(source, np.zeros((source.dim, k, k)), f"trivial:{k}")
 
 
 def spin2_irrep(k):
@@ -365,31 +361,19 @@ def commutant_basis(rep):
 
 
 def equivalent(r1, r2):
-    """True when an invertible intertwiner exists (orthogonal targets)."""
-    if r1.target_dim != r2.target_dim:
+    """True when an invertible intertwiner exists (orthogonal targets).
+
+    Schur's lemma counted in dimensions: if r1 and r2 hold a_i and b_i
+    copies of the irreducible V_i, whose commutant has dimension d_i, then
+    dim C(r1) = sum a_i^2 d_i and dim C(r1 + r2) = sum (a_i + b_i)^2 d_i. So
+    dim C(r1) = dim C(r2) = d and dim C(r1 + r2) = 4d exactly when
+    sum (a_i - b_i)^2 d_i = 0, that is when a = b.
+    """
+    if r1.target_dim != r2.target_dim or r1.source.dim != r2.source.dim:
         return False
-    if r1.source.dim != r2.source.dim:
-        return False
-    n = r1.target_dim
-    if n == 0 or r1.source.dim == 0:
-        return True
-    # the commutant of r1 + r2 is the orthogonal sum of its four blocks, so
-    # its lower-left block has singular values 1 on Hom(r1, r2) and 0 off it
-    comm = commutant_basis(AlgebraRep(r1.source, _block_diag(r1.images, r2.images)))
-    _, s, vt = np.linalg.svd(comm[:, n:, :n].reshape(len(comm), n * n),
-                             full_matrices=False)
-    null = vt[s > 0.5]
-    if len(null) == 0:
-        return False
-    # for orthogonal reps a generic combination of intertwiners is invertible.
-    # The blocks are accurate only to about SQRT_EPS, so a singular
-    # combination reads as invertible under a cut of n * eps
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        t = np.tensordot(rng.standard_normal(len(null)), null, axes=(0, 0))
-        if np.linalg.matrix_rank(t.reshape(n, n), rtol=SQRT_EPS) == n:
-            return True
-    return False
+    d = len(commutant_basis(r1))
+    both = AlgebraRep(r1.source, _block_diag(r1.images, r2.images))
+    return len(commutant_basis(r2)) == d and len(commutant_basis(both)) == 4 * d
 
 
 def classify_type(rep) -> RepType:
@@ -403,7 +387,7 @@ def classify_type(rep) -> RepType:
     cdim = len(comm)
     n = rep.target_dim
     if cdim == 1:
-        return RepType("real", 1, witness=np.eye(n))
+        return RepType("real", 1)
     if cdim in (2, 4):
         # the commutant contains I, so the traceless parts of its basis span
         # cdim - 1 dimensions: the top right singular vectors, unit norm, so
@@ -423,8 +407,7 @@ def classify_type(rep) -> RepType:
             gram = np.einsum("aij,bji->ab", tl, tl)
             ok = np.all(np.linalg.eigvalsh(gram) < -SQRT_EPS)
         if ok:
-            return RepType("complex" if cdim == 2 else "quaternionic", cdim,
-                           witness=s / math.sqrt(-lam))
+            return RepType("complex" if cdim == 2 else "quaternionic", cdim)
     raise Reducible(f"commutant dimension {cdim} is not of division-algebra type")
 
 

@@ -45,6 +45,13 @@ class ContainmentViolated(SymSpaceError):
     """span[ker, Im] escaped the kernel: impossible mathematically, so a bug."""
 
 
+def _frozen(a):
+    """Read-only float copy of an exact array."""
+    out = ex.to_float(a)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class SymmetricSpaceModel:
     g: liealg.LieAlgebraModel
@@ -81,12 +88,8 @@ class SymmetricSpaceModel:
             out[t, e, c] = s[t, c, e] * ex.fsqrt(d[e] / d[c])
         return out
 
-    @functools.cached_property
-    def ad_ref(self):
-        """Read-only float copy of ad_h: the images of the isotropy basis."""
-        out = ex.to_float(self.ad_h)
-        out.flags.writeable = False
-        return out
+    # read-only float ad_h: the images of the isotropy basis
+    ad_ref = functools.cached_property(lambda self: _frozen(self.ad_h))
 
     @functools.cached_property
     def holonomy(self):
@@ -96,13 +99,9 @@ class SymmetricSpaceModel:
 
     @functools.cached_property
     def _curvature(self):
-        # memo behind curvature_operator() and holonomy. A kernel column's
-        # last nonzero is on its free column; R^M's pivot columns span Im R^M.
+        # memo behind curvature_operator() and holonomy
         mat, hc = _curvature_matrix(self)
-        kernel = ex.nullspace(mat)
-        free = {np.flatnonzero(col)[-1] for col in kernel.T}
-        pivots = [c for c in range(len(mat)) if c not in free]
-        return CurvatureOperator(self.m_dim, mat, hc, kernel, pivots)
+        return CurvatureOperator(self.m_dim, mat, hc, *ex.nullspace(mat))
 
 
 @dataclass
@@ -128,12 +127,11 @@ class CurvatureOperator:
         k = self.matrix[0, 0] if self.dim else ex.ZERO
         return k if ex.is_zero(self.matrix - k * ex.feye(self.dim)) else None
 
-    @functools.cached_property
-    def float_matrix(self):
-        """Read-only float copy of matrix."""
-        out = ex.to_float(self.matrix)
-        out.flags.writeable = False
-        return out
+    # read-only float copies, made once per space and shared by its bundles
+    float_matrix = functools.cached_property(lambda self: _frozen(self.matrix))
+    float_kernel = functools.cached_property(
+        lambda self: _frozen(self.kernel_basis))
+    float_h_coeff = functools.cached_property(lambda self: _frozen(self.h_coeff))
 
     @functools.cached_property
     def eigendata(self):
@@ -141,7 +139,7 @@ class CurvatureOperator:
 
     def spectrum(self):
         """Clustered (eigenvalue, multiplicity) pairs, ascending."""
-        return [(lam, basis.shape[1]) for lam, basis in self.eigendata.pairs]
+        return [(lam, basis.shape[1]) for lam, basis in self.eigendata]
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def condition_a(space) -> ConditionAReport:
         if ex.int_matmul(a, inum).any():
             raise ContainmentViolated("[ker, Im] escaped ker R^M")
         gram += ex.int_matmul(a, a.T)
-    null = ex.nullspace(ex.from_scaled_int(gram, 1))
+    null, _ = ex.nullspace(gram)
     witness = None
     if null.shape[1]:
         w = ex.to_float(np.dot(ker, null[:, 0]))
@@ -278,7 +276,7 @@ def eigenspace_structure_residuals(curv):
     required to be closed and is not checked.
     """
     n = curv.m_dim
-    nonzero = [(lam, b) for lam, b in curv.eigendata.pairs if lam != 0.0]
+    nonzero = [(lam, b) for lam, b in curv.eigendata if lam != 0.0]
 
     def brackets(ba, bb):  # rows: [a_i, b_j] for every column pair
         return bivector_bracket(ba.T[:, None], bb.T[None], n).reshape(-1, len(ba))

@@ -57,7 +57,7 @@ def solve_on_image(eig, y):
     norm."""
     x = np.zeros_like(y)
     proj = np.zeros_like(y)
-    for lam, basis in eig.pairs:
+    for lam, basis in eig:
         if lam == 0.0:
             continue
         comp = basis.T @ y

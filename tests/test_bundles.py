@@ -235,7 +235,7 @@ def test_metric_rescaling(c):
         assert got_mults == mults, (name, c)
         assert np.allclose(got_lams, np.array(lams) / float(c), rtol=1e-12,
                            atol=0.0), (name, c)
-        assert sum(b.shape[1] for lam, b in got.eigendata.pairs
+        assert sum(b.shape[1] for lam, b in got.eigendata
                    if lam == 0.0) == got.kernel_basis.shape[1]
         want = ss.condition_a(space)
         report = ss.condition_a(scaled)

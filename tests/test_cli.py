@@ -269,6 +269,19 @@ def test_samples_below_one_is_a_parse_error(capsys, monkeypatch, value):
         f"unrecognized arguments: --samples {value}")
 
 
+@pytest.mark.parametrize("option", [("--output", "csv"), ("--tol", "1e-8"),
+                                    ("--seed", "3"), ("--config", "x.txt")])
+def test_common_options_follow_the_command(capsys, monkeypatch, option):
+    # each command declares --output, --tol, --seed and --config; the
+    # program itself takes none of them
+    assert run(capsys, "info", "S2", *option)[0] == cli.EXIT_OK
+    monkeypatch.setattr(cli, "load_space", lambda *args: pytest.fail("ran"))
+    assert cli.main([*option, "info", "S2"]) == cli.EXIT_PARSE_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: argument command: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_negative_rank_is_a_parse_error(capsys, monkeypatch):
     # it once printed an empty table and exited 0
     _assert_rejected_before_work(capsys, monkeypatch,

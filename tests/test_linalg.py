@@ -65,10 +65,10 @@ def test_eig_sym_clusters_and_kernel():
     d = np.diag([2.0, 2.0, 2.0 + 1e-12, 0.0, 1e-13])
     mat = q @ d @ q.T
     eig = la.eig_sym((mat + mat.T) / 2)
-    assert sum(b.shape[1] for lam, b in eig.pairs if lam == 0.0) == 2
-    lams = [lam for lam, _ in eig.pairs if lam != 0.0]
+    assert sum(b.shape[1] for lam, b in eig if lam == 0.0) == 2
+    lams = [lam for lam, _ in eig if lam != 0.0]
     assert len(lams) == 1 and abs(lams[0] - 2.0) < 1e-9
-    nonzero = [basis for lam, basis in eig.pairs if lam != 0.0]
+    nonzero = [basis for lam, basis in eig if lam != 0.0]
     assert nonzero[0].shape[1] == 3
 
 
@@ -78,6 +78,23 @@ def test_exact_mode_roundtrip():
     assert m.dtype == object
     back = la.bivector_coeffs_from_skew(m)
     assert all(a == b for a, b in zip(back, v))
+
+
+def test_nullspace_of_integers_keeps_fractions():
+    # the elimination takes scaled integers as they are: the kernel and the
+    # pivots equal those of the same matrix in Fractions, Python ints and
+    # int64 alike, with every entry a Fraction (int / int would give floats)
+    rng = np.random.default_rng(5)
+    for top in (3, 2**40):
+        m = rng.integers(-top, top, (4, 7)) * rng.integers(0, 2, (4, 7))
+        m[3] = 2 * m[0] - m[1]  # rank 3 at most
+        want, pivots = ex.nullspace(ex.farray(m.tolist()))
+        for ints in (m, m.astype(object)):
+            got, got_pivots = ex.nullspace(ints)
+            assert got_pivots == pivots == ex.column_space(ints)
+            assert all(type(v) is Fraction for v in got.reshape(-1))
+            assert (got == want).all()
+            assert ex.is_zero(np.dot(m.astype(object), got))
 
 
 def test_is_integral_is_absolute():

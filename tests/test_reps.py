@@ -345,6 +345,27 @@ def test_equivalent_matches_svd_only_path():
                                reps.un_fundamental_twist(2, -1 - k)), k
 
 
+def test_equivalent_compares_multiplicities_of_sums():
+    # the pool is irreducible and pairwise inequivalent, so two sums of its
+    # members are equivalent exactly when they hold the same multiset,
+    # whatever the order of their summands
+    pool = _pool("S4", 4)
+    sums = [(sorted((a.label, b.label)), reps.direct_sum(a, b))
+            for a, b in itertools.product(pool, pool)]
+    for (l1, r1), (l2, r2) in itertools.combinations(sums, 2):
+        if r1.target_dim == r2.target_dim:
+            assert reps.equivalent(r1, r2) == (l1 == l2), (l1, l2)
+    # dim C(r1 + r2) = 4 dim C(r1) alone holds here: a complex irreducible
+    # (C = 2) against trivial:2 plus another one (C = 4 + 2), sum C = 8
+    fund = reps.un_fundamental_twist(2, -1)
+    other = reps.from_descriptor("sum(trivial:2,det:(2,1))",
+                                 source=fund.source)
+    both = reps.direct_sum(fund, other)
+    assert [len(reps.commutant_basis(r)) for r in (fund, other, both)] \
+        == [2, 6, 8]
+    assert not reps.equivalent(fund, other)
+
+
 def test_classify_types_each_pool_member_once(monkeypatch):
     # the pool is inequivalent by construction and every sum of two or more
     # members is reducible, so classify needs neither test on a sum

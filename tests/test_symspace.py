@@ -13,6 +13,7 @@ from symcurv import liealg, reps
 from symcurv import symspace as ss
 from symcurv.linalg import EPS, bivector_coeffs_from_skew, pair_index
 
+from counterexample import is_counterexample
 from homomorphism import bracket, validate_homomorphism
 
 
@@ -197,8 +198,10 @@ def test_sliced_curvature_matches_dense_path(name):
     curv = ss.curvature_operator(space)
     assert _same_fractions(curv.matrix, mat)
     assert _same_fractions(curv.h_coeff, hc)
-    assert _same_fractions(curv.kernel_basis, ex.nullspace(mat))
+    kernel, pivots = ex.nullspace(mat)
+    assert _same_fractions(curv.kernel_basis, kernel)
     cols = ex.column_space(mat)
+    assert curv.image_cols == pivots == cols
     image = mat[:, cols] if cols else ex.fzeros((mat.shape[0], 0))
     assert _same_fractions(curv.image_basis, image)
     assert np.array_equal(ss.isotropy_rep(space).images, iso)
@@ -245,8 +248,10 @@ def test_product_of_catalog_spaces_is_blockwise(a, b):
     assert rep.dim_image == ca.dim_image + cb.dim_image
     assert rep.holds == (ca.holds and cb.holds
                          and sa.flat_dim * sb.flat_dim == 0)
-    # the brackets span all of ker R^M but the flat bivectors
+    # the brackets span all of ker R^M but the flat bivectors, and each
+    # failing product carries the paper's R^2 counterexample
     assert rep.dim_kernel - rep.dim_span_bracket == math.comb(prod.flat_dim, 2)
+    assert rep.holds or is_counterexample(prod, rep.witness)
     want = reps.external_sum(ss.isotropy_rep(sa), ss.isotropy_rep(sb))
     assert ss.isotropy_rep(prod).images.tobytes() == want.images.tobytes()
     # R^M on the A-pairs and on the B-pairs is each factor's, zero elsewhere
@@ -331,7 +336,7 @@ def _reference_condition_a(space):
     # column a * dim_img + b of B is [ker_a, img_b]: rows of the stack are
     # the coefficients of [ker @ c, img_b] in c, one block per b
     stack = bmat.reshape(len(bmat), dim_ker, dim_img).transpose(2, 0, 1)
-    c = ex.nullspace(stack.reshape(-1, dim_ker))[:, 0]
+    c = ex.nullspace(stack.reshape(-1, dim_ker))[0][:, 0]
     v = np.dot(ker, c)
     assert ex.is_zero(_reference_bracket_matrix(v[:, None], img, space.m_dim))
     w = ex.to_float(v)
@@ -394,7 +399,7 @@ def test_scaled_integer_brackets_large_entries(monkeypatch):
 def _eigenspace_residuals_ref(curv):
     """The per-pair loops that eigenspace_structure_residuals replaced."""
     n = curv.m_dim
-    nonzero = [b for lam, b in curv.eigendata.pairs if abs(lam) > 10 * EPS]
+    nonzero = [b for lam, b in curv.eigendata if abs(lam) > 10 * EPS]
 
     def skew(c):
         a = np.zeros((n, n))
