@@ -9,6 +9,7 @@ the pair of curvatures) follow from that formula and are re-verified
 numerically rather than trusted.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,6 +72,10 @@ class InducedBundle:
         """R^E applied to a bivector given by coefficients (or to each row
         of a stack of them)."""
         return combine(np.asarray(coeffs, dtype=float), self.blocks)
+
+    @functools.cached_property
+    def kernel_residuals(self):  # judged by both kernel checks: made once
+        return _kernel_residuals(self.curv, self.blocks)
 
 
 @dataclass(frozen=True)
@@ -181,21 +186,21 @@ def check_bracket_identity(bundle, tol=None) -> IdentityReport:
     return _judge(res, bundle.blocks, 2, tol, witness=lambda i: divmod(i, nb))
 
 
-def _kernel_report(curv, blocks, tol=None, recover=False):
-    """max |R^E v| for each vector v of the exact basis of ker R^M, judged."""
-    res = np.abs(combine(curv.float_kernel.T, blocks)).max(axis=(-2, -1),
-                                                          initial=0.0)
-    return _judge(res, blocks, 1, tol, recover)
+# an overflowing product leaves an inf or NaN residual, which fails its bound
+@np.errstate(over="ignore", invalid="ignore")
+def _kernel_residuals(curv, blocks):
+    """max |R^E v| for each vector v of the exact basis of ker R^M."""
+    return np.abs(combine(curv.float_kernel.T, blocks)).max(axis=(-2, -1),
+                                                           initial=0.0)
 
 
 def check_kernel_inclusion(bundle, tol=None) -> IdentityReport:
     """ker R^M subset ker R^E, tested on the exact kernel basis."""
-    return _kernel_report(bundle.curv, bundle.blocks, tol)
+    return _judge(bundle.kernel_residuals, bundle.blocks, 1, tol)
 
 
-# an overflowing product leaves an inf or NaN residual, which fails its bound
 @np.errstate(over="ignore", invalid="ignore")
-def recover_rho_hat(space, blocks) -> RecoveredHom:
+def recover_rho_hat(space, blocks, *, _kernel_res=None) -> RecoveredHom:
     """Reconstruct rho-hat = R^E o (R^M)^{-1} on Im R^M and validate it.
 
     blocks is the candidate bundle curvature on basis bivectors. Raises
@@ -207,7 +212,9 @@ def recover_rho_hat(space, blocks) -> RecoveredHom:
     if not np.isfinite(blocks).all():
         raise NotFinite("candidate curvature has a non-finite entry")
     curv = ss.curvature_operator(space)
-    kernel = _kernel_report(curv, blocks, recover=True)
+    if _kernel_res is None:  # check_roundtrip passes its bundle's
+        _kernel_res = _kernel_residuals(curv, blocks)
+    kernel = _judge(_kernel_res, blocks, 1, recover=True)
     if not kernel.ok:
         raise KernelNotIncluded(
             f"candidate curvature does not vanish on ker R^M "
@@ -233,7 +240,8 @@ def check_roundtrip(bundle, tol=None) -> IdentityReport:
     """max |rho_back - rho| for the rep recovered from the bundle's
     curvature; a failed reconstruction fails with residual None."""
     try:
-        back = recover_rho_hat(bundle.space, bundle.blocks).as_rep()
+        back = recover_rho_hat(bundle.space, bundle.blocks,
+                               _kernel_res=bundle.kernel_residuals).as_rep()
     except (BundleError, NotInImage):
         return IdentityReport(False, None)
     images = bundle.rep.images

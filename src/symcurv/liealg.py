@@ -5,6 +5,7 @@ stored as the real matrix [[X, -Y], [Y, X]]. The invariant inner product
 is <A, B> = tr(A^T B) / 2 on the chosen matrix realization.
 """
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,15 +63,12 @@ def _structure_from_matrices(mats):
 
 def _from_matrices(name, labels, mats, complex_n=None):
     c, gram = _structure_from_matrices(mats)
-    return LieAlgebraModel(
-        name=name,
-        dim=len(mats),
-        basis_labels=tuple(labels),
-        structure=c,
-        inner_product=gram,
-        matrices=tuple(mats),
-        complex_n=complex_n,
-    )
+    for a in (c, gram, *mats):  # read-only: spaces and reps share one model
+        a.flags.writeable = False
+    return LieAlgebraModel(name=name, dim=len(mats),
+                           basis_labels=tuple(labels), structure=c,
+                           inner_product=gram, matrices=tuple(mats),
+                           complex_n=complex_n)
 
 
 def so_generator(i, j, n):
@@ -81,6 +79,7 @@ def so_generator(i, j, n):
     return a
 
 
+@functools.cache
 def make_so(n):
     """so(n) with basis E_ij (i < j, lexicographic) and <A,B> = tr(A^T B)/2."""
     if n < 2:
@@ -129,6 +128,7 @@ def _un_basis(n):
     return mats, labels
 
 
+@functools.cache
 def make_u(n):
     if n < 1:
         raise ValueError("u(n) needs n >= 1")
@@ -136,6 +136,7 @@ def make_u(n):
     return _from_matrices(f"u({n})", labels, mats, complex_n=n)
 
 
+@functools.cache
 def make_su(n):
     if n < 2:
         raise ValueError("su(n) needs n >= 2")
@@ -157,7 +158,6 @@ def make_abelian(n):
         basis_labels=tuple(f"T{k + 1}" for k in range(n)),
         structure=ex.fzeros((n, n, n)),
         inner_product=ex.feye(n),
-        matrices=tuple(ex.fzeros((1, 1)) for _ in range(n)),
     )
 
 
@@ -171,20 +171,9 @@ def product_algebra(a, b):
     ip[: a.dim, : a.dim] = a.inner_product
     ip[a.dim :, a.dim :] = b.inner_product
     labels = tuple(f"a.{s}" for s in a.basis_labels) + tuple(f"b.{s}" for s in b.basis_labels)
-    mats = None
-    if a.matrices is not None and b.matrices is not None:
-        na = a.matrices[0].shape[0] if a.dim else 1
-        nb = b.matrices[0].shape[0] if b.dim else 1
-
-        def embed(m, block):
-            big = ex.fzeros((na + nb, na + nb))
-            big[block, block] = m
-            return big
-        mats = tuple([embed(m, slice(0, na)) for m in a.matrices]
-                     + [embed(m, slice(na, None)) for m in b.matrices])
     return LieAlgebraModel(
         name=f"{a.name}+{b.name}", dim=d, basis_labels=labels,
-        structure=c, inner_product=ip, matrices=mats,
+        structure=c, inner_product=ip,
     )
 
 

@@ -120,8 +120,7 @@ def _su2_complex(k):
     three (k+1)x(k+1) images (one per make_su(2) basis element) and the
     antilinear structure-map matrix, m_r -> (-1)^r m_{k-r}.
     """
-    su2 = liealg.make_su(2)
-    a, b, c, d = _complex_images(su2).reshape(3, 4).T[:, :, None]
+    a, b, c, d = _complex_images(liealg.make_su(2)).reshape(3, 4).T[:, :, None]
     # dm[r-1, r] = b sqrt(r(k-r+1)) and dm[r+1, r] = c sqrt((k-r)(r+1))
     r = np.arange(k + 1)
     w = np.sqrt(r[1:] * (k + 1 - r[1:]))
@@ -131,15 +130,15 @@ def _su2_complex(k):
     dm[:, r[1:], r[:-1]] = c * w
     jmat = np.zeros((k + 1, k + 1), dtype=complex)
     jmat[k - r, r] = (-1) ** r
-    return su2, -dm, jmat
+    return -dm, jmat
 
 
 def su2_irrep(k):
     """Complex irreducible of su(2) with complex dimension k+1, realified."""
     if k < 0:
         raise DescriptorError("k must be nonnegative")
-    su2, images, jmat = _su2_complex(k)
-    return _complex_rep(su2, images, f"su2:{k}", jmat, (-1) ** k)
+    images, jmat = _su2_complex(k)
+    return _complex_rep(liealg.make_su(2), images, f"su2:{k}", jmat, (-1) ** k)
 
 
 def real_form(rep):
@@ -175,21 +174,20 @@ def spin4_irrep(k1, k2):
     """
     if k1 < 0 or k2 < 0:
         raise DescriptorError("k1, k2 must be nonnegative")
-    so4 = liealg.make_so(4)
     # coordinates of each so(4) basis element along the two ideals: the rows
     # of _SO4_P and _SO4_Q are orthogonal, of squared norm 2 in so(4)'s
     # identity inner product
     cp, cq = ex.to_float(_SO4_P.T / 2), ex.to_float(_SO4_Q.T / 2)
-    _, im1, j1 = _su2_complex(k1)
-    _, im2, j2 = _su2_complex(k2)
+    im1, j1 = _su2_complex(k1)
+    im2, j2 = _su2_complex(k2)
     n1, n2 = k1 + 1, k2 + 1
     images = np.zeros((6, n1 * n2, n1 * n2), dtype=complex)
     for t in range(6):
         a = np.tensordot(cp[t], im1, axes=(0, 0))
         b = np.tensordot(cq[t], im2, axes=(0, 0))
         images[t] = np.kron(a, np.eye(n2)) + np.kron(np.eye(n1), b)
-    rep = _complex_rep(so4, images, f"spin4:({k1},{k2})", np.kron(j1, j2),
-                       (-1) ** (k1 + k2))
+    rep = _complex_rep(liealg.make_so(4), images, f"spin4:({k1},{k2})",
+                       np.kron(j1, j2), (-1) ** (k1 + k2))
     if (k1 + k2) % 2 == 0:
         return real_form(rep).relabel(rep.label)
     return rep

@@ -97,11 +97,8 @@ class SymmetricSpaceModel:
         from .bundles import build_holonomy  # local import to avoid a cycle
         return build_holonomy(self._curvature, self.m_dim, isotropy_rep(self))
 
-    @functools.cached_property
-    def _curvature(self):
-        # memo behind curvature_operator() and holonomy
-        mat, hc = _curvature_matrix(self)
-        return CurvatureOperator(self.m_dim, mat, hc, *ex.nullspace(mat))
+    # memo behind curvature_operator() and holonomy
+    _curvature = functools.cached_property(lambda self: _build_curvature(self))
 
 
 @dataclass
@@ -202,8 +199,8 @@ def curvature_operator(space) -> CurvatureOperator:
     return space._curvature
 
 
-def _curvature_matrix(space):
-    """(R^M, h_coeff) in exact Fractions, R^M checked self-adjoint."""
+def _build_curvature(space):
+    """R^M of space and its h_coeff, exact, R^M checked self-adjoint."""
     d = space.metric_diag
     pairs = pair_index(space.m_dim)
     # [x_a, x_b] in h coordinates for the orthonormal frame x_a = X_a / sqrt(d_a)
@@ -219,7 +216,8 @@ def _curvature_matrix(space):
     prod = ex.int_matmul(num[:, :len(pairs)].T, num[:, len(pairs):])
     if np.count_nonzero(prod - prod.T):
         raise SymSpaceError("curvature operator failed exact self-adjointness")
-    return ex.from_scaled_int(prod, den * den), hc
+    mat = ex.from_scaled_int(prod, den * den)
+    return CurvatureOperator(space.m_dim, mat, hc, *ex.nullspace(mat))
 
 
 def isotropy_rep(space):
@@ -299,10 +297,9 @@ def eigenspace_structure_residuals(curv):
 
 
 def product_space(a, b) -> SymmetricSpaceModel:
+    """a x b, unchecked: a product of two validated Cartan pairs is one."""
     # only ext(...) reads factors, so g keeps no factors' structure alive
     g = liealg.product_algebra(a.g, b.g)
-    h_idx = tuple(a.h_indices) + tuple(i + a.g.dim for i in b.h_indices)
-    metric = np.concatenate([a.metric_diag, b.metric_diag])
     ref_a, ref_b = a.isotropy_ref, b.isotropy_ref
     # a factor with h but no isotropy algebra leaves the product without one
     if b.h_dim == 0:
@@ -313,9 +310,12 @@ def product_space(a, b) -> SymmetricSpaceModel:
         ref = None
     else:
         ref = replace(liealg.product_algebra(ref_a, ref_b), factors=(ref_a, ref_b))
-    return make_symmetric_space(
-        g, h_idx, metric, f"{a.name}x{b.name}",
-        flat_dim=a.flat_dim + b.flat_dim, isotropy_ref=ref,
+    return SymmetricSpaceModel(
+        g=g, name=f"{a.name}x{b.name}", flat_dim=a.flat_dim + b.flat_dim,
+        h_indices=a.h_indices + tuple(i + a.g.dim for i in b.h_indices),
+        m_indices=a.m_indices + tuple(i + a.g.dim for i in b.m_indices),
+        metric_diag=np.concatenate([a.metric_diag, b.metric_diag]),
+        isotropy_ref=ref,
     )
 
 
@@ -366,12 +366,12 @@ def cp_model(n):
     mats, labels, un = _cp_basis(n)
     g = liealg._from_matrices(f"su({n + 1})|cp", labels, mats, complex_n=n + 1)
     h_idx = tuple(range(2 * n, g.dim))
-    base = g.inner_product[0, 0]  # uniform on m by construction
-    space = make_symmetric_space(g, h_idx, [base] * (2 * n), f"CP{n}",
-                                 isotropy_ref=un)
-    # rescale so that K(Z_1, W_1) = 4; sectional curvature scales as 1/c
-    p = pair_index(2 * n).index((0, n))
-    return rescale_metric(space, _curvature_matrix(space)[0][p, p] / 4)
+    base, zw = g.inner_product[0, 0], g.structure[0, n]  # base: uniform on m
+    # at metric base, K(Z_1, W_1) = <[Z_1, W_1], [Z_1, W_1]> / base^2; it
+    # scales as 1/c, so c = K / 4 makes it 4
+    c = np.dot(np.dot(zw, g.inner_product), zw) / (base * base) / 4
+    return make_symmetric_space(g, h_idx, [base * c] * (2 * n), f"CP{n}",
+                                isotropy_ref=un)
 
 
 def group_model():

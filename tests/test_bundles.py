@@ -373,6 +373,31 @@ def test_verified_block_follows_check_suite():
         "bracket_identity", "kernel_inclusion", "reconstruction_roundtrip"]
 
 
+def test_check_suite_evaluates_the_kernel_residuals_once(monkeypatch):
+    # kernel_inclusion and the roundtrip's reconstruction judge one vector
+    cp2 = ss.catalog("CP2")
+    rep = reps.from_descriptor("fund:(2,1)", source=cp2.isotropy_ref)
+    calls = []
+    residuals = bn._kernel_residuals
+
+    def counted(curv, blocks):
+        calls.append(len(blocks))
+        return residuals(curv, blocks)
+
+    monkeypatch.setattr(bn, "_kernel_residuals", counted)
+    bundle = bn.induce(cp2, rep)
+    checks = bn.check_suite(bundle)
+    assert len(calls) == 1 and all(c.ok for c in checks.values())
+    kernel = checks["kernel_inclusion"]
+    assert kernel.max_residual == float(bundle.kernel_residuals.max())
+    assert len(bundle.kernel_residuals) == 2  # dim ker R^M on CP2
+    # a bare recover_rho_hat still evaluates, and judges, its own blocks
+    assert bn.recover_rho_hat(cp2, bundle.blocks).hom_residual >= 0
+    assert len(calls) == 2
+    bn.classify_bundles(cp2, 4)
+    assert len(calls) == 2 + 50  # classify CP2 --rank 4: 50 bundles
+
+
 def test_classify_s3():
     reports = bn.classify_bundles(ss.catalog("S3"), 5)
     rank4 = [r for r in reports if r.rank == 4]

@@ -113,6 +113,21 @@ def test_serialization_roundtrip():
     assert ex.is_zero(back.inner_product - su2.inner_product)
 
 
+def test_standard_algebras_are_one_read_only_model_each():
+    so4 = liealg.make_so(4)
+    assert so4 is liealg.make_so(4) and liealg.make_u(2) is liealg.make_u(2)
+    assert liealg.make_su(2) is liealg.make_su(2)
+    for arr in (so4.structure, so4.inner_product, so4.matrices[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = ex.ONE
+
+
+def test_products_and_abelian_algebras_carry_no_matrices():
+    p = liealg.product_algebra(liealg.make_so(3), liealg.make_abelian(2))
+    assert p.matrices is None and liealg.make_abelian(2).matrices is None
+    assert "mat" not in liealg.to_text(p)
+
+
 def test_abelian():
     r2 = liealg.make_abelian(2)
     assert ex.is_zero(r2.structure)

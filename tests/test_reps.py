@@ -399,3 +399,10 @@ def test_catalog_pools_are_irreducible_and_inequivalent():
             reps.classify_type(rep)  # raises Reducible otherwise
         for r1, r2 in itertools.combinations(pool, 2):
             assert not _equivalent_ref(r1, r2), (r1.label, r2.label)
+
+
+def test_reps_share_the_catalog_isotropy_algebras():
+    assert reps.spin4_irrep(1, 0).source is ss.catalog("S4").isotropy_ref
+    assert reps.spin_fundamental(5).source is ss.catalog("S5").isotropy_ref
+    assert reps.un_det_power(2, 1).source is ss.catalog("CP2").isotropy_ref
+    assert reps.su2_irrep(1).source is liealg.make_su(2)

@@ -1,6 +1,7 @@
 """Cartan pairs, curvature operators, Condition A, catalog."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -265,6 +266,29 @@ def test_product_of_catalog_spaces_is_blockwise(a, b):
                                ss.curvature_operator(factor).matrix)
         mat[np.ix_(rows, rows)] = ex.ZERO
     assert ex.is_zero(mat)
+    # product_space skips make_symmetric_space's checks; they still hold
+    for space in (sa, sb, prod):
+        checked = ss.make_symmetric_space(
+            space.g, space.h_indices, space.metric_diag, space.name,
+            flat_dim=space.flat_dim, isotropy_ref=space.isotropy_ref)
+        assert checked.m_indices == space.m_indices
+
+
+def test_products_validate_only_their_atoms(monkeypatch):
+    # a fresh atom cache, so that S8 is built (and validated) here
+    monkeypatch.setattr(ss, "_catalog_atom", functools.lru_cache(
+        maxsize=None)(ss._catalog_atom.__wrapped__))
+    names = []
+    make = ss.make_symmetric_space
+
+    def counted(*args, **kwargs):
+        space = make(*args, **kwargs)
+        names.append(space.name)
+        return space
+
+    monkeypatch.setattr(ss, "make_symmetric_space", counted)
+    assert ss.catalog("S8xS8xS8").m_dim == 24
+    assert names == ["S8"]
 
 
 def test_curvature_operator_checks_self_adjointness():
