@@ -97,7 +97,7 @@ class Holonomy:
 
 def build_holonomy(curv, n, tangent) -> Holonomy:
     """Holonomy of curv, on Lambda^2(R^n), with the isotropy rep tangent."""
-    frame, r = np.linalg.qr(ex.to_float(curv.image_basis))
+    frame, r = np.linalg.qr(curv.float_matrix[:, curv.image_cols])
     (pi, pj), rank = np.triu_indices(frame.shape[1], 1), frame.shape[1]
     coeffs, off = np.empty((len(pi), rank)), 0.0
     for s in row_chunks(len(pi), n * n):
@@ -148,18 +148,20 @@ def induce(space, rep) -> InducedBundle:
     return InducedBundle(space=space, rep=rep, blocks=blocks, curv=curv)
 
 
+def _residuals(bundle, rma, b, ra, rb):
+    """|R^E[R^M a, b] - [R^E a, R^E b]| from R^M a, b, R^E a and R^E b."""
+    lhs = bundle.value(bivector_bracket(rma, b, bundle.space.m_dim))
+    return np.abs(lhs - (ra @ rb - rb @ ra)).max(axis=(-2, -1), initial=0.0)
+
+
 def bracket_residuals(bundle, a, b):
     """Residuals of R^E[R^M a, b] = [R^E a, R^E b] for each row pair (a[i],
     b[i]), in stacked products over chunks of rows (each k x k or n x n)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, out = bundle.space.m_dim, []
-    for s in row_chunks(len(a), max(bundle.rank, n) ** 2):
-        rma = (bundle.curv.float_matrix @ a[s, :, None])[..., 0]
-        lhs = bundle.value(bivector_bracket(rma, b[s], n))
-        ra, rb = bundle.value(a[s]), bundle.value(b[s])
-        out.append(np.abs(lhs - (ra @ rb - rb @ ra)).max(axis=(-2, -1),
-                                                          initial=0.0))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    rm, out = bundle.curv.float_matrix, []
+    for s in row_chunks(len(a), max(bundle.rank, bundle.space.m_dim) ** 2):
+        out.append(_residuals(bundle, (rm @ a[s, :, None])[..., 0], b[s],
+                              bundle.value(a[s]), bundle.value(b[s])))
     return np.concatenate(out)
 
 
@@ -170,20 +172,23 @@ def bracket_identity_residual(bundle, a, b):
 
 def _judge(res, scale_of, degree, tol=None, recover=False, witness=int):
     """IdentityReport of the residuals res under linalg.within; a failing
-    one names the worst, or the first NaN, by witness(index)."""
+    one names the worst, or the first NaN, by witness(index) when res is
+    not empty."""
     worst = float(res.max(initial=0.0))
-    if within(worst, scale_of, degree, tol, recover):
-        return IdentityReport(True, worst)
-    return IdentityReport(False, worst, witness(int(res.argmax())))
+    ok = within(worst, scale_of, degree, tol, recover)
+    return IdentityReport(ok, worst, None if ok or not res.size
+                          else witness(int(res.argmax())))
 
 
 def check_bracket_identity(bundle, tol=None) -> IdentityReport:
-    """Lemma-style bracket identity over all basis bivector pairs."""
-    nb = bundle.blocks.shape[0]
-    eye = np.eye(nb)
-    res = bracket_residuals(bundle, np.repeat(eye, nb, axis=0),
-                            np.tile(eye, (nb, 1)))
-    return _judge(res, bundle.blocks, 2, tol, witness=lambda i: divmod(i, nb))
+    """Lemma-style bracket identity over all basis bivector pairs (e_i, e_j),
+    in chunks of i: R^M e_i is column i of R^M and R^E e_i is blocks[i]."""
+    f, rm = bundle.blocks, bundle.curv.float_matrix.T
+    nb, eye = len(f), np.eye(len(f))
+    res = [_residuals(bundle, rm[s, None], eye, f[s, None], f) for s in
+           row_chunks(nb, nb * max(bundle.rank, bundle.space.m_dim) ** 2)]
+    return _judge(np.concatenate(res).ravel(), f, 2, tol,
+                  witness=lambda i: divmod(i, nb))
 
 
 # an overflowing product leaves an inf or NaN residual, which fails its bound

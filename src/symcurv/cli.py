@@ -294,7 +294,7 @@ def main(argv=None):
         from . import bundles as bn, reps as rp  # only once a command failed
         if isinstance(e, (ss.SymSpaceError, bn.UnsupportedBase,
                           bn.UnsupportedSpace, rp.UnsupportedDim,
-                          rp.SourceMismatch, MemoryError)):
+                          rp.SourceMismatch, MemoryError, OverflowError)):
             code = EXIT_UNSUPPORTED
         elif isinstance(e, (rp.DescriptorError, ValueError)):
             code = EXIT_PARSE_ERROR

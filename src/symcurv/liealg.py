@@ -52,7 +52,7 @@ def _structure_from_matrices(mats):
     m, den = ex.scale_to_int(np.stack(mats))
     flat = m.reshape(len(m), -1)
     gram = ex.int_matmul(flat, flat.T)
-    inv, inv_den = ex.scale_to_int(ex.inverse(ex.farray(gram.tolist())))
+    inv, inv_den = ex.scale_to_int(ex.inverse(gram))
     c = ex.fzeros((len(m),) * 3)
     for i, mi in enumerate(m):
         comm = (ex.int_matmul(mi, m) - ex.int_matmul(m, mi)).reshape(flat.shape)
@@ -91,20 +91,15 @@ def make_so(n):
 
 
 def realify(x, y):
-    """Real 2n x 2n matrix of the complex matrix x + iy."""
-    n = x.shape[0]
-    out = ex.fzeros((2 * n, 2 * n))
-    out[:n, :n] = x
-    out[n:, n:] = x
-    out[n:, :n] = y
-    out[:n, n:] = -y
-    return out
+    """Real 2n x 2n matrix [[x, -y], [y, x]] of the complex matrix x + iy,
+    for each pair along the leading axes; Fractions stay Fractions."""
+    return np.block([[x, -y], [y, x]])
 
 
 def complex_parts(m):
     """Inverse of realify for matrices commuting with the standard J."""
-    n = m.shape[0] // 2
-    return m[:n, :n], m[n:, :n]
+    n = m.shape[-1] // 2
+    return m[..., :n, :n], m[..., n:, :n]
 
 
 def _eij(i, j, n):

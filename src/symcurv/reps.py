@@ -74,23 +74,19 @@ def _complex_rep(source, images, label, jmat=None, sign=0):
     J_c is multiplication by i. jmat, when given, is the matrix of the
     antilinear structure map v -> jmat @ conj(v), which squares to sign * I.
     """
-    a, b, i = images.real, images.imag, np.eye(images.shape[-1])
-    z = np.zeros_like(i)
+    i = np.eye(images.shape[-1])
+    # antilinear: realify(jmat) @ diag(I, -I), diag(I, -I) being conj
     smap = None if jmat is None else np.block(
         [[jmat.real, jmat.imag], [jmat.imag, -jmat.real]])
-    return AlgebraRep(source, np.block([[a, -b], [b, a]]), label,
-                      complex_structure=np.block([[z, -i], [i, z]]),
+    return AlgebraRep(source, liealg.realify(images.real, images.imag), label,
+                      complex_structure=liealg.realify(np.zeros_like(i), i),
                       structure_map=smap, structure_sign=sign)
 
 
 def _complex_images(alg):
     """Complex matrices of the basis of su(n) or u(n), shape (dim, n, n)."""
-    n = alg.complex_n
-    out = np.zeros((alg.dim, n, n), dtype=complex)
-    for t, m in enumerate(alg.matrices):
-        x, y = liealg.complex_parts(m)
-        out.real[t], out.imag[t] = ex.to_float(x), ex.to_float(y)
-    return out
+    x, y = liealg.complex_parts(np.stack(alg.matrices))
+    return ex.to_float(x) + 1j * ex.to_float(y)
 
 
 # ---------------------------------------------------------------------------

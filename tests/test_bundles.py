@@ -170,6 +170,39 @@ def test_nan_block_fails_the_identity_checks_with_a_witness():
     assert report.witness == 0
 
 
+def test_kernel_check_without_kernel_fails_non_finite_blocks():
+    # S4 has ker R^M = 0: no residual to name, but the inf scale fails
+    bundle = dataclasses.replace(
+        bn.induce(ss.catalog("S4"), reps.from_descriptor("spin4:(1,0)")),
+        blocks=np.full((6, 4, 4), np.inf))
+    assert bn.check_kernel_inclusion(bundle) == \
+        bn.IdentityReport(False, 0.0, None)
+
+
+def _euclidean_plane():
+    """e(2) = so(2) + R^2, basis J, P1, P2: [J, P1] = P2, [J, P2] = -P1 and
+    [P1, P2] = 0. R^M = 0, but so(2) rotates m."""
+    c = ex.fzeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = ex.ONE, -ex.ONE
+    c[0, 2, 1], c[2, 0, 1] = -ex.ONE, ex.ONE
+    g = liealg.LieAlgebraModel(name="e(2)", dim=3,
+                               basis_labels=("J", "P1", "P2"), structure=c,
+                               inner_product=ex.feye(3))
+    return ss.make_symmetric_space(g, (0,), [1, 1], "E2",
+                                   isotropy_ref=liealg.make_so(2))
+
+
+def test_isotropy_outside_the_holonomy_algebra():
+    space = _euclidean_plane()
+    assert space.holonomy.isotropy is None
+    bundle = bn.induce(space, reps.spin2_irrep(1))
+    with pytest.raises(NotInImage):
+        bn.recover_rho_hat(space, bundle.blocks).as_rep()
+    checks = bn.check_suite(bundle)
+    assert checks["bracket_identity"].ok and checks["kernel_inclusion"].ok
+    assert checks["reconstruction_roundtrip"] == bn.IdentityReport(False, None)
+
+
 def test_char_numbers_s2():
     s2 = ss.catalog("S2")
     for k in range(-5, 6):

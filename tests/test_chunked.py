@@ -95,15 +95,19 @@ def test_chunked_kernels_match_all_pairs(monkeypatch):
 
 def test_spinor8_spans_several_chunks():
     # at the fixed cap, the S8 spinor:8 case above takes both systems in
-    # several chunks: 784 basis pairs and 378 image pairs of 32 x 32 blocks
+    # several chunks of 32 x 32 blocks: the bracket identity's 28 rows of 28
+    # basis pairs one row at a time, and 378 image pairs
     assert linalg.CHUNK_ENTRIES == 2 ** 14
-    assert len(linalg.row_chunks(28 * 28, 32 ** 2)) == 49
+    assert len(linalg.row_chunks(28, 28 * 32 ** 2)) == 28
     assert len(linalg.row_chunks(28 * 27 // 2, 32 ** 2)) == 24
 
 
 @pytest.mark.parametrize("cap", [1, 5000])
 def test_small_cap_matches_all_pairs(monkeypatch, cap):
-    # one row per chunk, and chunks that end inside a row of basis pairs
+    # cap 1: the bracket identity takes one row of basis pairs (one i) per
+    # chunk and bracket_residuals one pair; cap 5000: the identity takes
+    # several rows per chunk, the last one shorter on S5, and S6 one row,
+    # while bracket_residuals' chunks end inside a row of basis pairs
     monkeypatch.setattr(linalg, "CHUNK_ENTRIES", cap)
     for name, desc in [("S3", "spinor:3"), ("S4", "sum(spin4:(1,0),trivial:1)"),
                        ("S5", "spinor:5"), ("CP2", "fund:(2,1)"),

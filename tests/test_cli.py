@@ -458,6 +458,15 @@ def test_verify_spinor_sum_peak_memory():
     assert peak_kb < 60 * 1024  # KiB on Linux
 
 
+def test_verify_product_bundle_peak_memory():
+    # the bracket identity once held every basis pair's one-hot rows and
+    # re-derived each block from them, about 73 MB; reading the blocks in
+    # chunks of i takes about 50 MB
+    out, peak_kb = _peak_rss_run("verify", "S8xS8", "ext(spinor:8,trivial:1)")
+    assert json.loads(out)["all_passed"]
+    assert peak_kb < 60 * 1024  # KiB on Linux
+
+
 def test_verify_spin4_peak_memory():
     # the commutant's constraint system took this to about 124 MB; its
     # closed-form normal matrix takes about 54 MB
@@ -517,6 +526,9 @@ def test_package_attributes_import_submodules():
     assert res.stdout == "induce False\n", res.stderr
 
 
+_HUGE = 10 ** 400
+
+
 @pytest.mark.parametrize("argv, code", [
     (("info", "S17"), cli.EXIT_UNSUPPORTED),  # UnknownSpace
     (("info", "Bad", "--config", "spaces.txt"),
@@ -530,6 +542,11 @@ def test_package_attributes_import_submodules():
     (("info", "S2", "--output", "xml"), cli.EXIT_PARSE_ERROR),  # usage error
     (("info", "Foo", "--config", "absent.txt"),
      cli.EXIT_PARSE_ERROR),  # ValueError: an unreadable file
+    # OverflowError: a descriptor integer too large for a float
+    (("verify", "S2", f"spin2:{_HUGE}"), cli.EXIT_UNSUPPORTED),
+    (("verify", "CP1", f"det:(1,{_HUGE})"), cli.EXIT_UNSUPPORTED),
+    (("verify", "CP1", f"un_det:{_HUGE}"), cli.EXIT_UNSUPPORTED),
+    (("charclasses", "CP2", f"fund:(2,{_HUGE})"), cli.EXIT_UNSUPPORTED),
 ])
 def test_fresh_process_error_exits_with_one_line(tmp_path, argv, code):
     # the bundle layers' error classes are imported on the error path only,

@@ -82,6 +82,22 @@ def test_realify_bracket():
             assert ex.is_zero(comm - want)
 
 
+def test_realify_keeps_its_input_dtype():
+    x, y = ex.farray([[1, 2], [3, 4]]), ex.farray([["1/2", 0], [0, -1]])
+    m = liealg.realify(x, y)
+    assert m.dtype == object and all(type(v) is Fraction for v in m.flat)
+    assert ex.is_zero(m - ex.farray([[1, 2, "-1/2", 0], [3, 4, 0, 1],
+                                     ["1/2", 0, 1, 2], [0, -1, 3, 4]]))
+    # a float stack realifies matrix by matrix
+    xs, ys = np.random.default_rng(3).standard_normal((2, 5, 3, 3))
+    ms = liealg.realify(xs, ys)
+    assert ms.dtype == float and ms.shape == (5, 6, 6)
+    assert np.array_equal(ms[:, :3, 3:], -ys)
+    assert np.array_equal(ms[:, 3:, 3:], xs)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(liealg.complex_parts(ms), (xs, ys)))
+
+
 def test_product_algebra():
     a = liealg.make_so(3)
     b = liealg.make_su(2)
