@@ -182,8 +182,3 @@ def fsqrt(q):
 def _isqrt_exact(n):
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-def trace_form(a, b):
-    """Inner product <a, b> = tr(a^T b) / 2 on square matrices."""
-    return Fraction(np.sum(np.asarray(a, dtype=object) * np.asarray(b, dtype=object)), 2)

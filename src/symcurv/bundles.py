@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _exact as ex
-from . import liealg, linalg
+from . import linalg
 from . import reps as rp
 from . import symspace as ss
 from .linalg import (
@@ -305,21 +304,26 @@ def _complex_trace(m, jc):
     return 0.5 * (np.trace(m) - 1j * np.trace(jc @ m))
 
 
+def weight_mode_n(space):
+    """n when charclasses reads c1 as a representation weight, else None:
+    the base is CP^n with n > 1, up to flat factors, and its isotropy
+    algebra is make_u(n), whose basis c1_weight reads."""
+    ref, m = space.isotropy_ref, space.m_dim
+    n = getattr(ref, "complex_n", None)
+    ok = n and ref.name == f"u({n})" and m > 2 and m - space.flat_dim == 2 * n
+    return n if ok else None
+
+
 def c1_weight(space, rep):
-    """c1 as a representation weight for CP^n bases with n > 1: the complex
-    trace of the image of the central element i*I, normalized so det^k has
-    weight k."""
+    """c1 as a representation weight on the bases of weight_mode_n: the
+    complex trace of the image of i*I = iH1 + ... + iHn, the first n
+    elements of make_u(n)'s basis, normalized so det^k has weight k."""
     check_source(space, rep)
-    un = space.isotropy_ref
-    n = un.complex_n
-    target = liealg.realify(ex.fzeros((n, n)), ex.feye(n))  # i * identity
-    gram = un.inner_product
-    rhs = ex.farray([ex.trace_form(m, target) for m in un.matrices])
-    coeffs = ex.to_float(ex.solve(gram, rhs))
-    img = rep.image(coeffs)
+    n = space.isotropy_ref.complex_n
     if rep.complex_structure is None:
         raise UnsupportedBase("weight report needs a complex structure")
-    return _complex_trace(img, rep.complex_structure).imag / n
+    return _complex_trace(rep.images[:n].sum(axis=0),
+                          rep.complex_structure).imag / n
 
 
 def characteristic_numbers(bundle, tolerance=INTEGRALITY_TOL) -> CharClassReport:

@@ -130,10 +130,8 @@ def cmd_info(args):
         "image_dim": cond.dim_image,
         "condition_a": "holds" if cond.holds else "fails",
     }
-    rows = [("name", space.name), ("dim_m", space.m_dim),
-            ("dim_h", space.h_dim), ("flat_dim", space.flat_dim),
-            ("kernel_dim", cond.dim_kernel), ("image_dim", cond.dim_image),
-            ("condition_a", data["condition_a"])]
+    rows = [(k, data[k]) for k in ("name", "dim_m", "dim_h", "flat_dim",
+                                   "kernel_dim", "image_dim", "condition_a")]
     rows += [("eigenvalue " + f"{lam:.12g}", mult)
              for lam, mult in curv.spectrum()]
     emit(data, args.output, csv_rows=rows)
@@ -150,12 +148,9 @@ def cmd_classify(args):
     rows = [("rank", "label", "type", "euler", "p1", "c1", "c2",
              "bracket", "kernel", "roundtrip")]
     for r in reports:
-        ch = r.char
+        ch = r.char and r.char.to_dict()
         rows.append((r.rank, r.label, r.rep_type,
-                     None if ch is None else ch.euler,
-                     None if ch is None else ch.p1,
-                     None if ch is None else ch.c1,
-                     None if ch is None else ch.c2,
+                     *(ch and ch[k] for k in ("euler", "p1", "c1", "c2")),
                      *(c.ok for c in r.checks.values())))
     if args.output == "text":
         write_lines("  ".join("-" if v is None else str(_round12(v))
@@ -204,8 +199,7 @@ def cmd_charclasses(args):
     space = load_space(args.space, args.config)
     rep = rp.from_descriptor(args.rep, source=space.isotropy_ref)
     tol = args.tol or linalg.INTEGRALITY_TOL
-    cn = getattr(space.isotropy_ref, "complex_n", None)  # n of CP^n's u(n)
-    if cn and space.m_dim > 2 and space.m_dim - space.flat_dim == 2 * cn:
+    if bn.weight_mode_n(space):
         weight = bn.c1_weight(space, rep)
         data = {"base": space.name, "rank": rep.target_dim,
                 "mode": "representation-weight", "c1_weight": weight,

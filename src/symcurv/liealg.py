@@ -280,6 +280,15 @@ def checked_entries(key, entries, shape):
         yield tuple(idx), v
 
 
+def rational(line, value):
+    """The Fraction written as `value` on config line `line`; ValueError,
+    naming the line, when it is none (a zero denominator included)."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{line}: {value!r} is not a rational number") from None
+
+
 def header_int(head, key):
     """The integer on header line `key`; ValueError if the line is bare."""
     if not head[key]:
@@ -295,7 +304,8 @@ def from_text(text):
         if parts and parts[0] in blocks:
             blocks[parts[0]].append(" ".join(parts[1:]))
         elif parts and parts[0] in entries:
-            entries[parts[0]].append((list(map(int, parts[1:-1])), Fraction(parts[-1])))
+            entries[parts[0]].append((list(map(int, parts[1:-1])),
+                                      rational(raw.strip(), parts[-1])))
         elif parts:  # header lines; unknown keys and comments are ignored
             head[parts[0]] = parts[1:]
     if "algebra" not in head or "dim" not in head:

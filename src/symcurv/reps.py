@@ -4,8 +4,9 @@ Complex irreducibles are stored realified: a complex k-dim rep becomes a
 real 2k-dim rep carrying a complex structure J_c (multiplication by i) and,
 when one exists, a structure map (the realification of an antilinear
 intertwiner J with J^2 = +1 or -1). Type classification works through the
-real commutant: dimension 1 = real, 2 = complex, 4 = quaternionic, anything
-else = reducible.
+real commutant: a rep whose commutant has a symmetric element other than a
+multiple of I is reducible, else dimension 1 = real, 2 = complex and
+4 = quaternionic.
 """
 
 import math
@@ -51,10 +52,6 @@ class AlgebraRep:
     @property
     def target_dim(self):
         return self.images.shape[1]
-
-    def image(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        return np.tensordot(coeffs, self.images, axes=(0, 0))
 
     def relabel(self, label):
         return AlgebraRep(self.source, self.images, label,
@@ -373,35 +370,21 @@ def equivalent(r1, r2):
 def classify_type(rep) -> RepType:
     """Real / complex / quaternionic classification via the commutant.
 
-    Raises Reducible when the commutant is not one of the three division
-    algebras R, C, H (detected by dimension plus definiteness of the
-    squaring form on the traceless part).
+    An orthogonal rep is irreducible exactly when every symmetric element of
+    its commutant is a multiple of I (Schur: the orthogonal projection onto
+    a proper invariant subspace commutes and is not), and the commutant is
+    then R, C or H, of dimension 1, 2 or 4. Its basis is orthonormal, so the
+    symmetric traceless parts are judged at SQRT_EPS with no scale. Raises
+    Reducible otherwise.
     """
     comm = commutant_basis(rep)
-    cdim = len(comm)
-    n = rep.target_dim
-    if cdim == 1:
-        return RepType("real", 1)
-    if cdim in (2, 4):
-        # the commutant contains I, so the traceless parts of its basis span
-        # cdim - 1 dimensions: the top right singular vectors, unit norm, so
-        # SQRT_EPS is the precision of each test below
-        tl = comm - np.trace(comm, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
-        _, _, vt = np.linalg.svd(tl.reshape(cdim, n * n), full_matrices=False)
-        tl = vt[: cdim - 1].reshape(-1, n, n)
-        s = tl[0]
-        lam = np.trace(s @ s) / n
-        if cdim == 2:
-            # complex: the traceless element squares to a negative multiple of I
-            ok = lam < -SQRT_EPS and \
-                np.abs(s @ s - lam * np.eye(n)).max() < SQRT_EPS
-        else:
-            # quaternionic: the squaring form on the traceless part is
-            # negative definite
-            gram = np.einsum("aij,bji->ab", tl, tl)
-            ok = np.all(np.linalg.eigvalsh(gram) < -SQRT_EPS)
-        if ok:
-            return RepType("complex" if cdim == 2 else "quaternionic", cdim)
+    cdim, n = len(comm), rep.target_dim
+    kind = {1: "real", 2: "complex", 4: "quaternionic"}.get(cdim)
+    if kind:
+        sym = comm + comm.transpose(0, 2, 1)
+        sym -= np.trace(sym, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+        if np.abs(sym).max() <= SQRT_EPS:
+            return RepType(kind, cdim)
     raise Reducible(f"commutant dimension {cdim} is not of division-algebra type")
 
 

@@ -10,7 +10,6 @@ R(X,Y)Z = -[[X,Y],Z]).
 
 import functools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -208,7 +207,7 @@ def _build_curvature(space):
                                        space.h_indices)]
     hc = ex.fzeros((len(pairs), space.h_dim))
     for p, (a, b) in enumerate(pairs):
-        hc[p] = bracket[a, b] * ex.fsqrt(Fraction(1) / (d[a] * d[b]))
+        hc[p] = bracket[a, b] * ex.fsqrt(ex.ONE / (d[a] * d[b]))
     # row t: ad(H_t)|_m as a bivector; column p of R^M is hc[p] @ biv,
     # multiplied, and checked self-adjoint, in scaled integers
     biv = bivector_coeffs_from_skew(space.ad_h)
@@ -471,8 +470,10 @@ def space_from_text(text):
     ref = liealg.from_text("\n".join(iso)) if iso else None
     flat_dim = liealg.header_int(head, "flat_dim") if "flat_dim" in head else 0
     space = make_symmetric_space(
-        alg, h, [Fraction(v) for v in head["metric"]], " ".join(head["space"]),
-        flat_dim=flat_dim, isotropy_ref=ref)
+        alg, h, [liealg.rational("metric", v) for v in head["metric"]],
+        " ".join(head["space"]), flat_dim=flat_dim, isotropy_ref=ref)
+    if not 0 <= flat_dim <= space.m_dim:
+        raise ValueError(f"flat_dim {flat_dim}: not in 0..{space.m_dim}")
     if ref is not None:
         if ref.dim != len(h):
             raise ValueError(f"isotropy algebra {ref.name} has dimension "

@@ -603,7 +603,7 @@ def test_batched_induce_matches_loop():
         coeffs = hc @ np.eye(space.h_dim)
         want = np.zeros((len(hc), rep.target_dim, rep.target_dim))
         for p in range(len(hc)):
-            want[p] = rep.image(coeffs[p])
+            want[p] = np.tensordot(coeffs[p], rep.images, axes=(0, 0))
         assert bn.induce(space, rep).blocks.tobytes() == want.tobytes(), name
 
 
@@ -811,6 +811,41 @@ def test_characteristic_numbers_match_frame_pair_reference():
             assert repr(got) == repr(want), (name, rep.label)
             seen.update(k for k, v in got.items() if v is not None)
     assert {"euler", "p1", "c1", "c2"} <= seen
+
+
+def _c1_weight_ref(space, rep):
+    """The exact projection c1_weight replaced: the coordinates of i*I in
+    the isotropy algebra's basis, solved from its Gram matrix."""
+    un = space.isotropy_ref
+    n = un.complex_n
+    target = liealg.realify(ex.fzeros((n, n)), ex.feye(n))
+    rhs = ex.farray([Fraction(np.sum(m * target), 2) for m in un.matrices])
+    coeffs = ex.to_float(ex.solve(un.inner_product, rhs))
+    img = np.tensordot(coeffs, rep.images, axes=(0, 0))
+    return bn._complex_trace(img, rep.complex_structure).imag / n
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP3"])
+def test_c1_weight_matches_exact_projection(name):
+    space = ss.catalog(name)
+    n = space.isotropy_ref.complex_n
+    pool = [ctor(n, k) for k in range(-4, 5)
+            for ctor in (reps.un_det_power, reps.un_fundamental_twist)]
+    sums = [reps.direct_sum(a, b)
+            for a, b in itertools.combinations_with_replacement(pool, 2)]
+    for rep in pool + sums:
+        got, want = bn.c1_weight(space, rep), _c1_weight_ref(space, rep)
+        assert repr(got) == repr(want), (name, rep.label)
+
+
+def test_weight_mode_needs_a_u_n_isotropy():
+    space = ss.catalog("S4")
+    s4j = dataclasses.replace(space, isotropy_ref=dataclasses.replace(
+        space.isotropy_ref, complex_n=2))
+    assert bn.weight_mode_n(s4j) is None
+    assert [bn.weight_mode_n(ss.catalog(name)) for name in
+            ("CP1", "CP2", "CP3", "CP2xR1", "CP1xR1", "S4")] == \
+        [None, 2, 3, 2, 1, None]
 
 
 def test_classify_walks_deep_multisets_without_recursion():

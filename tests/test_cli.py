@@ -168,6 +168,18 @@ def test_charclasses_cp2_weight_mode(capsys):
     assert data["c1_weight"] == 1.0
 
 
+def test_charclasses_weight_mode_needs_a_u_n_isotropy(tmp_path, capsys):
+    # complex_n on S4's so(4) does not make it a CP^2 base
+    path = tmp_path / "spaces.txt"
+    path.write_text(_renamed_text("S4", "S4j") + "isotropy complex_n 2\n")
+    assert ss.space_from_text(path.read_text()).isotropy_ref.complex_n == 2
+    code, want = run(capsys, "charclasses", "S4", "spin4:(1,0)")
+    got = run(capsys, "charclasses", "S4j", "spin4:(1,0)", "--config",
+              str(path))
+    assert json.loads(want)["mode"] == "chern-weil"
+    assert got == (code, want.replace('"S4"', '"S4j"'))
+
+
 def test_charclasses_unsupported_base(capsys):
     code, _ = run(capsys, "charclasses", "S5", "spinor:5")
     assert code == cli.EXIT_UNSUPPORTED
@@ -547,13 +559,32 @@ _HUGE = 10 ** 400
     (("verify", "CP1", f"det:(1,{_HUGE})"), cli.EXIT_UNSUPPORTED),
     (("verify", "CP1", f"un_det:{_HUGE}"), cli.EXIT_UNSUPPORTED),
     (("charclasses", "CP2", f"fund:(2,{_HUGE})"), cli.EXIT_UNSUPPORTED),
+    # ValueError: a zero denominator or a flat_dim outside 0..dim m
+    (("info", "Zm", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("verify", "Zi", "spinor:3", "--config", "spaces.txt"),
+     cli.EXIT_PARSE_ERROR),
+    (("charclasses", "Zc", "spinor:3", "--config", "spaces.txt"),
+     cli.EXIT_PARSE_ERROR),
+    (("info", "Zt", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "Fn", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "Fm", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
 ])
 def test_fresh_process_error_exits_with_one_line(tmp_path, argv, code):
     # the bundle layers' error classes are imported on the error path only,
     # which an in-process test cannot reach: pytest has them loaded
     text = _renamed_text("S3", "Bad")
-    (tmp_path / "spaces.txt").write_text(text.replace("\nmetric 1 1 1\n",
-                                                      "\nmetric 1 1 2\n"))
+    blocks = [text.replace("\nmetric 1 1 1\n", "\nmetric 1 1 2\n")]
+    for name, old, new in [
+            ("Zm", "metric 1 1 1", "metric 1/0 1 1"),
+            ("Zi", "ip 0 0 1", "ip 0 0 1/0"),
+            ("Zc", "c 0 1 3 1", "c 0 1 3 1/0"),
+            ("Zt", "isotropy ip 0 0 1", "isotropy mat 0 0 1 1/0"),
+            ("Fn", "flat_dim 0", "flat_dim -5"),
+            ("Fm", "flat_dim 0", "flat_dim 4")]:
+        renamed = _renamed_text("S3", name)
+        assert f"\n{old}\n" in renamed
+        blocks.append(renamed.replace(f"\n{old}\n", f"\n{new}\n"))
+    (tmp_path / "spaces.txt").write_text("\n".join(blocks))
     res = subprocess.run([sys.executable, "-m", "symcurv.cli", *argv],
                          cwd=tmp_path, env=_env(), capture_output=True,
                          text=True)

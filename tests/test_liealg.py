@@ -151,6 +151,20 @@ def test_abelian():
     assert liealg.make_abelian(0).dim == 0
 
 
+def test_un_basis_starts_with_the_centre():
+    # c1_weight reads i*I as iH1 + ... + iHn, the first n basis elements
+    for n in (1, 2, 3):
+        mats = liealg.make_u(n).matrices
+        assert _same_fractions(np.sum(mats[:n], axis=0),
+                               liealg.realify(ex.fzeros((n, n)), ex.feye(n)))
+
+
+def _trace_form(a, b):
+    """Inner product <a, b> = tr(a^T b) / 2 on square Fraction matrices."""
+    return Fraction(np.sum(np.asarray(a, dtype=object)
+                           * np.asarray(b, dtype=object)), 2)
+
+
 def _reference_structure(mats):
     """The per-pair Fraction path structure constants were first built
     with: one commutator and d trace pairings per basis pair. The pairings
@@ -161,13 +175,13 @@ def _reference_structure(mats):
     gram = ex.fzeros((d, d))
     for i in range(d):
         for j in range(d):
-            gram[i, j] = ex.trace_form(mats[i], mats[j])
+            gram[i, j] = _trace_form(mats[i], mats[j])
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     rhs = ex.fzeros((d, len(pairs)))
     for p, (i, j) in enumerate(pairs):
         comm = _commutator(mats[i], mats[j])
         nz = np.nonzero(comm)
-        rhs[:, p] = ex.farray([ex.trace_form(mats[k][nz], comm[nz])
+        rhs[:, p] = ex.farray([_trace_form(mats[k][nz], comm[nz])
                                for k in range(d)])
     coeffs = ex.solve(gram, rhs) if pairs else ex.fzeros((d, 0))
     c = ex.fzeros((d, d, d))

@@ -1,6 +1,7 @@
 """Representation constructors and type classification."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,39 @@ def test_classify_invariance_under_conjugation():
                            np.stack([q.T @ m @ q for m in rep.images]),
                            label="conj")
     assert reps.classify_type(conj).kind == "quaternionic"
+
+
+@pytest.mark.parametrize("desc, cdim, kind", [
+    # reducible sums whose commutant has the dimension of C or of H: two
+    # inequivalent real irreps (R + R) and two inequivalent complex ones
+    # (C + C)
+    ("sum(spin4:(1,1),spin4:(2,0))", 2, None),
+    ("sum(det:(2,1),det:(2,2))", 4, None),
+    ("spin4:(1,1)", 1, "real"), ("det:(2,1)", 2, "complex"),
+    ("spin4:(1,0)", 4, "quaternionic"),
+])
+def test_type_under_conjugation_and_scaling(desc, cdim, kind):
+    rep = reps.from_descriptor(desc)
+    q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal(
+        (rep.target_dim,) * 2))
+    for images, scale in itertools.product(
+            (rep.images, q.T @ rep.images @ q), (1.0, 1e-6, 1e6)):
+        copy = reps.AlgebraRep(rep.source, scale * images)
+        assert len(reps.commutant_basis(copy)) == cdim
+        if kind is None:
+            with pytest.raises(reps.Reducible):
+                reps.classify_type(copy)
+        else:
+            assert reps.classify_type(copy).kind == kind
+
+
+def test_empty_rep_is_reducible_without_warning():
+    rep = reps.trivial_rep(liealg.make_so(3), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(reps.Reducible):
+            reps.classify_type(rep)
+        assert not reps.is_irreducible(rep)
 
 
 def test_descriptor_grammar():
