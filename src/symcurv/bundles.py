@@ -11,7 +11,7 @@ numerically rather than trusted.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,8 +94,9 @@ class Holonomy:
     isotropy: np.ndarray | None  # isotropy images in the frame; None off it
 
 
-def build_holonomy(curv, n, tangent) -> Holonomy:
-    """Holonomy of curv, on Lambda^2(R^n), with the isotropy rep tangent."""
+def build_holonomy(space) -> Holonomy:
+    """Holonomy of space's R^M, with its isotropy images ad_ref."""
+    curv, n = ss.curvature_operator(space), space.m_dim
     frame, r = np.linalg.qr(curv.float_matrix[:, curv.image_cols])
     (pi, pj), rank = np.triu_indices(frame.shape[1], 1), frame.shape[1]
     coeffs, off = np.empty((len(pi), rank)), 0.0
@@ -103,7 +104,7 @@ def build_holonomy(curv, n, tangent) -> Holonomy:
         coeffs[s], o = linalg.project(frame, bivector_bracket(
             frame.T[pi[s]], frame.T[pj[s]], n))
         off = max(off, float(linalg.row_norms(o).max(initial=0.0)))
-    biv = linalg.bivector_coeffs_from_skew(tangent.images)
+    biv = linalg.bivector_coeffs_from_skew(space.ad_ref)
     iso, iso_off = linalg.project(frame, biv)
     if np.any(linalg.row_norms(iso_off)
               > linalg.SQRT_EPS * linalg.row_norms(biv)):
@@ -120,23 +121,21 @@ class RecoveredHom:
 
     def as_rep(self):
         """rho-hat composed with the isotropy identification: a rep of the
-        isotropy algebra (of the zero algebra when the space has
-        none)."""
+        isotropy algebra."""
         coeffs = self.space.holonomy.isotropy
         if coeffs is None:
             raise NotInImage("isotropy image is not contained in Im R^M")
-        return rp.AlgebraRep(ss.isotropy_rep(self.space).source,
+        return rp.AlgebraRep(self.space.isotropy_ref,
                              combine(coeffs, self.images), label="recovered")
 
 
 def check_source(space, rep):
     """Raise SourceMismatch unless rep acts on the isotropy algebra of space."""
     ref = space.isotropy_ref
-    ref_name = ref.name if ref is not None else None
-    if rep.source.name != ref_name or rep.source.dim != (ref.dim if ref else -1):
+    if rep.source.name != ref.name or rep.source.dim != ref.dim:
         raise SourceMismatch(
             f"rep source {rep.source.name!r} does not match isotropy algebra "
-            f"{ref_name!r} of {space.name}")
+            f"{ref.name!r} of {space.name}")
 
 
 def induce(space, rep) -> InducedBundle:
@@ -147,20 +146,20 @@ def induce(space, rep) -> InducedBundle:
     return InducedBundle(space=space, rep=rep, blocks=blocks, curv=curv)
 
 
-def _residuals(bundle, rma, b, ra, rb):
-    """|R^E[R^M a, b] - [R^E a, R^E b]| from R^M a, b, R^E a and R^E b."""
-    lhs = bundle.value(bivector_bracket(rma, b, bundle.space.m_dim))
-    return np.abs(lhs - (ra @ rb - rb @ ra)).max(axis=(-2, -1), initial=0.0)
+def _misfit(lhs, a, b):
+    """max |lhs - (ab - ba)| for each matrix of the stacks: the residual of
+    the bracket identity and of the homomorphism property."""
+    return np.abs(lhs - (a @ b - b @ a)).max(axis=(-2, -1), initial=0.0)
 
 
 def bracket_residuals(bundle, a, b):
     """Residuals of R^E[R^M a, b] = [R^E a, R^E b] for each row pair (a[i],
     b[i]), in stacked products over chunks of rows (each k x k or n x n)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    rm, out = bundle.curv.float_matrix, []
-    for s in row_chunks(len(a), max(bundle.rank, bundle.space.m_dim) ** 2):
-        out.append(_residuals(bundle, (rm @ a[s, :, None])[..., 0], b[s],
-                              bundle.value(a[s]), bundle.value(b[s])))
+    rm, n, out = bundle.curv.float_matrix, bundle.space.m_dim, []
+    for s in row_chunks(len(a), max(bundle.rank, n) ** 2):
+        lhs = bundle.value(bivector_bracket((rm @ a[s, :, None])[..., 0], b[s], n))
+        out.append(_misfit(lhs, bundle.value(a[s]), bundle.value(b[s])))
     return np.concatenate(out)
 
 
@@ -182,10 +181,10 @@ def _judge(res, scale_of, degree, tol=None, recover=False, witness=int):
 def check_bracket_identity(bundle, tol=None) -> IdentityReport:
     """Lemma-style bracket identity over all basis bivector pairs (e_i, e_j),
     in chunks of i: R^M e_i is column i of R^M and R^E e_i is blocks[i]."""
-    f, rm = bundle.blocks, bundle.curv.float_matrix.T
+    f, rm, n = bundle.blocks, bundle.curv.float_matrix.T, bundle.space.m_dim
     nb, eye = len(f), np.eye(len(f))
-    res = [_residuals(bundle, rm[s, None], eye, f[s, None], f) for s in
-           row_chunks(nb, nb * max(bundle.rank, bundle.space.m_dim) ** 2)]
+    res = [_misfit(bundle.value(bivector_bracket(rm[s, None], eye, n)), f[s, None], f)
+           for s in row_chunks(nb, nb * max(bundle.rank, n) ** 2)]
     return _judge(np.concatenate(res).ravel(), f, 2, tol,
                   witness=lambda i: divmod(i, nb))
 
@@ -230,10 +229,9 @@ def recover_rho_hat(space, blocks, *, _kernel_res=None) -> RecoveredHom:
     # residual over the frame pairs i < j; np.max keeps a NaN, max() drops it
     (pi, pj), worst = np.triu_indices(len(images), 1), hol.bracket_off
     for s in row_chunks(len(pi), blocks.shape[1] ** 2):
-        i, j = pi[s], pj[s]
-        rhs = images[i] @ images[j] - images[j] @ images[i]
-        worst = float(np.max([worst, np.abs(combine(
-            hol.bracket_coeffs[s], images) - rhs).max(initial=0.0)]))
+        res = _misfit(combine(hol.bracket_coeffs[s], images), images[pi[s]],
+                      images[pj[s]])
+        worst = float(np.max([worst, res.max(initial=0.0)]))
     if not within(worst, blocks, 2, recover=True):
         raise NotHomomorphism("reconstructed map is not a homomorphism", worst)
     return RecoveredHom(space=space, image_basis=hol.frame, images=images,
@@ -309,7 +307,7 @@ def weight_mode_n(space):
     the base is CP^n with n > 1, up to flat factors, and its isotropy
     algebra is make_u(n), whose basis c1_weight reads."""
     ref, m = space.isotropy_ref, space.m_dim
-    n = getattr(ref, "complex_n", None)
+    n = ref.complex_n
     ok = n and ref.name == f"u({n})" and m > 2 and m - space.flat_dim == 2 * n
     return n if ok else None
 
@@ -319,7 +317,9 @@ def c1_weight(space, rep):
     complex trace of the image of i*I = iH1 + ... + iHn, the first n
     elements of make_u(n)'s basis, normalized so det^k has weight k."""
     check_source(space, rep)
-    n = space.isotropy_ref.complex_n
+    n = weight_mode_n(space)
+    if n is None:
+        raise UnsupportedBase(f"{space.name}: base has no weight mode")
     if rep.complex_structure is None:
         raise UnsupportedBase("weight report needs a complex structure")
     return _complex_trace(rep.images[:n].sum(axis=0),
@@ -403,7 +403,7 @@ def catalog_irreps(space, rank_bound, weight_cap=6):
     # keyed on the isotropy algebra, so a renamed or --config copy of a
     # catalog space gets that space's irreps
     ref = space.isotropy_ref
-    name = _IRREP_CATALOG.get((getattr(ref, "name", None), space.m_dim))
+    name = _IRREP_CATALOG.get((ref.name, space.m_dim))
     if name is None:
         raise UnsupportedSpace(
             f"no irrep catalog for {space.name}; supported: S2 S3 S4 S5 CP1 CP2")
@@ -412,7 +412,7 @@ def catalog_irreps(space, rank_bound, weight_cap=6):
         pool = [rp.spin2_irrep(k) for k in ks]
     elif name == "S3":
         tangent = ss.isotropy_rep(space)
-        pool = [tangent.relabel("so3-fund"), rp.spin_fundamental(3),
+        pool = [replace(tangent, label="so3-fund"), rp.spin_fundamental(3),
                 rp.sym2_traceless(tangent)]
     elif name == "S4":
         # complex dimension (k1+1)(k2+1), realified when k1 + k2 is odd
@@ -420,7 +420,7 @@ def catalog_irreps(space, rank_bound, weight_cap=6):
                 for k2 in range(rank_bound + 1) if k1 + k2 and
                 (k1 + 1) * (k2 + 1) * (1 + (k1 + k2) % 2) <= rank_bound]
     elif name == "S5":
-        pool = [ss.isotropy_rep(space).relabel("so5-fund"),
+        pool = [replace(ss.isotropy_rep(space), label="so5-fund"),
                 rp.spin_fundamental(5)]
     elif name == "CP1":
         pool = [rp.un_det_power(1, k) for k in ks]

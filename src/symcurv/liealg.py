@@ -280,20 +280,21 @@ def checked_entries(key, entries, shape):
         yield tuple(idx), v
 
 
-def rational(line, value):
-    """The Fraction written as `value` on config line `line`; ValueError,
+def number(line, value, kind=Fraction):
+    """`value` on config line `line` as a Fraction or an int; ValueError,
     naming the line, when it is none (a zero denominator included)."""
     try:
-        return Fraction(value)
+        return kind(value)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{line}: {value!r} is not a rational number") from None
+        what = "an integer" if kind is int else "a rational number"
+        raise ValueError(f"{line}: {value!r} is not {what}") from None
 
 
 def header_int(head, key):
     """The integer on header line `key`; ValueError if the line is bare."""
     if not head[key]:
         raise ValueError(f"{key}: missing value")
-    return int(head[key][0])
+    return number(" ".join([key, *head[key]]), head[key][0], int)
 
 
 def from_text(text):
@@ -304,8 +305,8 @@ def from_text(text):
         if parts and parts[0] in blocks:
             blocks[parts[0]].append(" ".join(parts[1:]))
         elif parts and parts[0] in entries:
-            entries[parts[0]].append((list(map(int, parts[1:-1])),
-                                      rational(raw.strip(), parts[-1])))
+            entries[parts[0]].append(([number(raw.strip(), v, int) for v in parts[1:-1]],
+                                      number(raw.strip(), parts[-1])))
         elif parts:  # header lines; unknown keys and comments are ignored
             head[parts[0]] = parts[1:]
     if "algebra" not in head or "dim" not in head:

@@ -10,7 +10,7 @@ multiple of I is reducible, else dimension 1 = real, 2 = complex and
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -52,11 +52,6 @@ class AlgebraRep:
     @property
     def target_dim(self):
         return self.images.shape[1]
-
-    def relabel(self, label):
-        return AlgebraRep(self.source, self.images, label,
-                          self.complex_structure, self.structure_map,
-                          self.structure_sign)
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ def spin4_irrep(k1, k2):
     rep = _complex_rep(liealg.make_so(4), images, f"spin4:({k1},{k2})",
                        np.kron(j1, j2), (-1) ** (k1 + k2))
     if (k1 + k2) % 2 == 0:
-        return real_form(rep).relabel(rep.label)
+        return replace(real_form(rep), label=rep.label)
     return rep
 
 

@@ -15,13 +15,7 @@ import numpy as np
 
 from . import _exact as ex
 from . import liealg, linalg
-from .linalg import (
-    bivector_bracket,
-    bivector_coeffs_from_skew,
-    pair_index,
-    project,
-    row_norms,
-)
+from .linalg import bivector_bracket, bivector_coeffs_from_skew, pair_index
 
 
 class SymSpaceError(Exception):
@@ -58,10 +52,9 @@ class SymmetricSpaceModel:
     m_indices: tuple
     metric_diag: np.ndarray  # Fractions: <X_a, X_a> for the chosen m basis
     name: str
-    flat_dim: int = 0
     # the isotropy algebra in h's basis: its structure constants are
     # g.structure[h, h, h]
-    isotropy_ref: liealg.LieAlgebraModel | None = None
+    isotropy_ref: liealg.LieAlgebraModel
 
     @property
     def m_dim(self):
@@ -70,6 +63,18 @@ class SymmetricSpaceModel:
     @property
     def h_dim(self):
         return len(self.h_indices)
+
+    @functools.cached_property
+    def flat_dim(self):
+        """Dimension of the Euclidean de Rham factor, {X in m : R(X, .) = 0}
+        with R(X, Y) = -ad([X, Y]) on m: dim m less the exact rank of the
+        integer product of the slices [m, m] -> h and [h, m] -> m."""
+        m, h, n, k = self.m_indices, self.h_indices, self.m_dim, self.h_dim
+        mmh, _ = ex.scale_to_int(self.g.structure[np.ix_(m, m, h)])
+        hmm, _ = ex.scale_to_int(self.g.structure[np.ix_(h, m, m)])
+        # row a of r: [[X_a, X_b], X_c] in m's basis, for every b and c
+        r = ex.int_matmul(mmh.reshape(n * n, k), hmm.reshape(k, n * n)).reshape(n, n ** 3)
+        return n - ex.rank(ex.int_matmul(r, r.T))
 
     @functools.cached_property
     def ad_h(self):
@@ -94,7 +99,7 @@ class SymmetricSpaceModel:
     def holonomy(self):
         """Im R^M as bundles.Holonomy, once per space; info never loads it."""
         from .bundles import build_holonomy  # local import to avoid a cycle
-        return build_holonomy(self._curvature, self.m_dim, isotropy_rep(self))
+        return build_holonomy(self)
 
     # memo behind curvature_operator() and holonomy
     _curvature = functools.cached_property(lambda self: _build_curvature(self))
@@ -147,9 +152,10 @@ class ConditionAReport:
     witness: np.ndarray | None  # kernel vector outside span of brackets, floats
 
 
-def make_symmetric_space(g, h_indices, metric_diag, name, flat_dim=0,
-                         isotropy_ref=None):
-    """Validated Cartan pair with a diagonal Ad(h)-invariant metric on m."""
+def make_symmetric_space(g, h_indices, metric_diag, name, isotropy_ref=None):
+    """Validated Cartan pair with a diagonal Ad(h)-invariant metric on m.
+    Without an isotropy algebra, h itself is one: g's structure constants
+    and inner product on h_indices, named after g with a '|h' suffix."""
     h_indices = tuple(h_indices)
     m_indices = tuple(i for i in range(g.dim) if i not in h_indices)
     if len(h_indices) + len(m_indices) != g.dim or len(set(h_indices)) != len(h_indices):
@@ -182,9 +188,13 @@ def make_symmetric_space(g, h_indices, metric_diag, name, flat_dim=0,
             f"metric not ad(h)-invariant at (H={h_indices[t]}, "
             f"X={m_indices[a]}, Y={m_indices[b]})"
         )
+    h = h_indices
+    isotropy_ref = isotropy_ref or liealg.LieAlgebraModel(
+        f"{g.name}|h", len(h), tuple(g.basis_labels[i] for i in h),
+        st[np.ix_(h, h, h)], g.inner_product[np.ix_(h, h)])
     return SymmetricSpaceModel(
         g=g, h_indices=h_indices, m_indices=m_indices, metric_diag=metric_diag,
-        name=name, flat_dim=flat_dim, isotropy_ref=isotropy_ref,
+        name=name, isotropy_ref=isotropy_ref,
     )
 
 
@@ -223,13 +233,7 @@ def isotropy_rep(space):
     """pi-hat as an AlgebraRep on the isotropy algebra: the image of its
     basis element H_t is ad(H_t)|_m."""
     from .reps import AlgebraRep  # local import to avoid a cycle
-
-    ref = space.isotropy_ref
-    if ref is None:
-        return AlgebraRep(source=liealg.make_abelian(0),
-                          images=np.zeros((0, space.m_dim, space.m_dim)),
-                          label="tangent")
-    return AlgebraRep(source=ref, images=space.ad_ref, label="tangent")
+    return AlgebraRep(space.isotropy_ref, space.ad_ref, label="tangent")
 
 
 def condition_a(space) -> ConditionAReport:
@@ -264,53 +268,15 @@ def condition_a(space) -> ConditionAReport:
                             dim_ker - null.shape[1], witness)
 
 
-def eigenspace_structure_residuals(curv):
-    """Residuals of the eigenspace bracket structure of R^M.
-
-    Returns the worst-case residuals of: (a) each nonzero eigenspace being
-    closed under the bracket, (b) distinct nonzero eigenspaces commuting,
-    and (c) the image being closed under the bracket. The kernel is NOT
-    required to be closed and is not checked.
-    """
-    n = curv.m_dim
-    nonzero = [(lam, b) for lam, b in curv.eigendata if lam != 0.0]
-
-    def brackets(ba, bb):  # rows: [a_i, b_j] for every column pair
-        return bivector_bracket(ba.T[:, None], bb.T[None], n).reshape(-1, len(ba))
-
-    def off_span(vecs, basis):
-        return float(row_norms(project(basis, vecs)[1]).max(initial=0.0))
-
-    sub = 0.0
-    comm = 0.0
-    for i, (_, ba) in enumerate(nonzero):
-        sub = max(sub, off_span(brackets(ba, ba), ba))
-        for _, bb in nonzero[i + 1 :]:
-            comm = max(comm, float(row_norms(brackets(ba, bb)).max(initial=0.0)))
-    if nonzero:
-        image = np.concatenate([b for _, b in nonzero], axis=1)
-        closed = off_span(brackets(image, image), image)
-    else:
-        closed = 0.0
-    return {"subalgebra": sub, "commuting": comm, "image_closed": closed}
-
-
 def product_space(a, b) -> SymmetricSpaceModel:
     """a x b, unchecked: a product of two validated Cartan pairs is one."""
     # only ext(...) reads factors, so g keeps no factors' structure alive
     g = liealg.product_algebra(a.g, b.g)
     ref_a, ref_b = a.isotropy_ref, b.isotropy_ref
-    # a factor with h but no isotropy algebra leaves the product without one
-    if b.h_dim == 0:
-        ref = ref_a
-    elif a.h_dim == 0:
-        ref = ref_b
-    elif ref_a is None or ref_b is None:
-        ref = None
-    else:
-        ref = replace(liealg.product_algebra(ref_a, ref_b), factors=(ref_a, ref_b))
+    ref = ref_a if b.h_dim == 0 else ref_b if a.h_dim == 0 else replace(
+        liealg.product_algebra(ref_a, ref_b), factors=(ref_a, ref_b))
     return SymmetricSpaceModel(
-        g=g, name=f"{a.name}x{b.name}", flat_dim=a.flat_dim + b.flat_dim,
+        g=g, name=f"{a.name}x{b.name}",
         h_indices=a.h_indices + tuple(i + a.g.dim for i in b.h_indices),
         m_indices=a.m_indices + tuple(i + a.g.dim for i in b.m_indices),
         metric_diag=np.concatenate([a.metric_diag, b.metric_diag]),
@@ -388,7 +354,7 @@ def group_model():
 
 def flat_model(n):
     g = liealg.make_abelian(n)
-    return make_symmetric_space(g, (), [1] * n, f"R{n}", flat_dim=n,
+    return make_symmetric_space(g, (), [1] * n, f"R{n}",
                                 isotropy_ref=liealg.make_abelian(0))
 
 
@@ -438,10 +404,8 @@ def space_to_text(space):
     lines.append(f"space {space.name}")
     lines.append("h_indices " + " ".join(str(i) for i in space.h_indices))
     lines.append("metric " + " ".join(str(v) for v in space.metric_diag))
-    lines.append(f"flat_dim {space.flat_dim}")
-    if space.isotropy_ref is not None:
-        lines += ["isotropy " + line
-                  for line in liealg.to_text(space.isotropy_ref).splitlines()]
+    lines += ["isotropy " + line
+              for line in liealg.to_text(space.isotropy_ref).splitlines()]
     return "\n".join(lines) + "\n"
 
 
@@ -466,14 +430,14 @@ def space_from_text(text):
     if "space" not in head or "metric" not in head:
         raise ValueError("missing space header")
     _check_algebra(alg)
-    h = tuple(int(v) for v in head.get("h_indices", ()))
+    line = " ".join(["h_indices", *head.get("h_indices", ())])
+    h = tuple(liealg.number(line, v, int) for v in head.get("h_indices", ()))
+    if len(set(h)) != len(h) or not all(0 <= i < alg.dim for i in h):
+        raise ValueError(f"{line}: not distinct indices in 0..{alg.dim - 1}")
     ref = liealg.from_text("\n".join(iso)) if iso else None
-    flat_dim = liealg.header_int(head, "flat_dim") if "flat_dim" in head else 0
     space = make_symmetric_space(
-        alg, h, [liealg.rational("metric", v) for v in head["metric"]],
-        " ".join(head["space"]), flat_dim=flat_dim, isotropy_ref=ref)
-    if not 0 <= flat_dim <= space.m_dim:
-        raise ValueError(f"flat_dim {flat_dim}: not in 0..{space.m_dim}")
+        alg, h, [liealg.number("metric", v) for v in head["metric"]],
+        " ".join(head["space"]), isotropy_ref=ref)
     if ref is not None:
         if ref.dim != len(h):
             raise ValueError(f"isotropy algebra {ref.name} has dimension "

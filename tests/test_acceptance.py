@@ -12,6 +12,7 @@ from symcurv import spherebundle as sb
 from symcurv import symspace as ss
 
 from counterexample import is_counterexample
+from eigenspaces import eigenspace_structure_residuals
 
 
 def _report(num, title, ok):
@@ -85,7 +86,7 @@ def test_acceptance_4_structural_identities():
     worst = 0.0
     for space, rep in _catalog_pairs():
         curv = ss.curvature_operator(space)
-        res = ss.eigenspace_structure_residuals(curv)
+        res = eigenspace_structure_residuals(curv)
         worst = max(worst, *res.values())
         bundle = bn.induce(space, rep)
         worst = max(worst, bn.check_bracket_identity(bundle).max_residual)

@@ -194,6 +194,7 @@ def _euclidean_plane():
 
 def test_isotropy_outside_the_holonomy_algebra():
     space = _euclidean_plane()
+    assert space.flat_dim == 2  # R^M = 0: all of m is flat
     assert space.holonomy.isotropy is None
     bundle = bn.induce(space, reps.spin2_irrep(1))
     with pytest.raises(NotInImage):
@@ -303,7 +304,7 @@ def _rotated_frame(space, skew):
     p[np.ix_(space.m_indices, space.m_indices)] = q
     rotated = ss.make_symmetric_space(
         liealg.change_basis(space.g, p), space.h_indices, space.metric_diag,
-        space.name, flat_dim=space.flat_dim, isotropy_ref=space.isotropy_ref)
+        space.name, isotropy_ref=space.isotropy_ref)
     return q, rotated
 
 
@@ -658,24 +659,32 @@ def _bare_s3():
         if not line.startswith("isotropy")))
 
 
-def test_as_rep_without_isotropy_algebra(capsys):
-    s3 = ss.catalog("S3")
-    bare = _bare_s3()
-    assert bare.isotropy_ref is None
-    blocks = bn.induce(s3, ss.isotropy_rep(s3)).blocks
-    back = bn.recover_rho_hat(bare, blocks).as_rep()
-    assert back.source.dim == 0 and back.images.shape == (0, 3, 3)
+def test_as_rep_without_isotropy_algebra(tmp_path, capsys):
+    # a block without isotropy lines gets h itself, with g's brackets
+    s3, bare = ss.catalog("S3"), _bare_s3()
+    ref = bare.isotropy_ref
+    assert (ref.name, ref.dim) == ("so(4)|h", 3)
+    assert (ref.structure == s3.isotropy_ref.structure).all()
+    tangent = ss.isotropy_rep(bare)
+    back = bn.recover_rho_hat(bare, bn.induce(bare, tangent).blocks).as_rep()
+    assert back.source is ref
+    assert np.abs(back.images - tangent.images).max() <= 1e-12
     # a zero isotropy algebra gives the same shape, so R2's roundtrip runs
     assert cli.main(["verify", "R2", "trivial:2"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks["reconstruction_roundtrip"] == {"ok": True, "residual": 0.0}
+    path = tmp_path / "spaces.txt"
+    path.write_text(ss.space_to_text(bare))
+    assert cli.main(["verify", "S3bare", "trivial:3", "--config",
+                     str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"]
 
 
 def test_product_with_a_factor_lacking_its_isotropy_algebra():
     s2 = ss.catalog("S2")
     for prod in (ss.product_space(_bare_s3(), s2),
                  ss.product_space(s2, _bare_s3())):
-        assert prod.h_dim == 4 and prod.isotropy_ref is None
+        assert prod.h_dim == 4 and "so(4)|h" in prod.isotropy_ref.name
         with pytest.raises(bn.SourceMismatch):
             bn.induce(prod, reps.spin2_irrep(1))
     # a flat factor has no h, so the other factor's algebra carries over
@@ -710,13 +719,12 @@ def test_batched_recover_matches_loop():
         assert got.hom_residual == _hom_residual_ref(
             got.image_basis, got.images, space.m_dim), case
         assert got.image_basis.tobytes() == img.tobytes(), case
-        if space.isotropy_ref is not None:
-            want = _as_rep_images_ref(got)
-            try:
-                back = got.as_rep().images.tobytes()
-            except NotInImage:
-                back = "not in image"
-            assert back == want, case
+        want = _as_rep_images_ref(got)
+        try:
+            back = got.as_rep().images.tobytes()
+        except NotInImage:
+            back = "not in image"
+        assert back == want, case
         outcomes.add(img.shape[1])
     # both rejections, and the r <= 1 cases (R2: r = 0, CP1: r = 1)
     assert {bn.KernelNotIncluded, bn.NotHomomorphism, 0, 1} <= outcomes

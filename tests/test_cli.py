@@ -13,7 +13,8 @@ import pytest
 
 import symcurv
 from symcurv import _exact as ex
-from symcurv import cli, liealg
+from symcurv import bundles as bn
+from symcurv import cli, liealg, reps
 from symcurv import symspace as ss
 
 
@@ -172,12 +173,29 @@ def test_charclasses_weight_mode_needs_a_u_n_isotropy(tmp_path, capsys):
     # complex_n on S4's so(4) does not make it a CP^2 base
     path = tmp_path / "spaces.txt"
     path.write_text(_renamed_text("S4", "S4j") + "isotropy complex_n 2\n")
-    assert ss.space_from_text(path.read_text()).isotropy_ref.complex_n == 2
+    s4j = ss.space_from_text(path.read_text())
+    assert s4j.isotropy_ref.complex_n == 2
+    with pytest.raises(bn.UnsupportedBase):  # c1_weight checks its base
+        bn.c1_weight(s4j, reps.spin4_irrep(1, 0))
     code, want = run(capsys, "charclasses", "S4", "spin4:(1,0)")
     got = run(capsys, "charclasses", "S4j", "spin4:(1,0)", "--config",
               str(path))
     assert json.loads(want)["mode"] == "chern-weil"
     assert got == (code, want.replace('"S4"', '"S4j"'))
+
+
+def test_config_flat_dim_line_is_ignored(tmp_path, capsys):
+    # CP2xR1 labelled flat_dim 0: the flat factor is computed from the
+    # brackets, so the file's line changes neither info nor the weight mode
+    path = tmp_path / "spaces.txt"
+    path.write_text(_renamed_text("CP2xR1", "PR") + "flat_dim 0\n")
+    for argv in (["info"], ["charclasses", "un_det:1"]):
+        code, want = run(capsys, argv[0], "CP2xR1", *argv[1:])
+        got = run(capsys, argv[0], "PR", *argv[1:], "--config", str(path))
+        assert got == (code, want.replace('"CP2xR1"', '"PR"')), argv
+    assert json.loads(got[1])["mode"] == "representation-weight"
+    assert json.loads(run(capsys, "info", "PR", "--config",
+                          str(path))[1])["flat_dim"] == 1
 
 
 def test_charclasses_unsupported_base(capsys):
@@ -559,15 +577,20 @@ _HUGE = 10 ** 400
     (("verify", "CP1", f"det:(1,{_HUGE})"), cli.EXIT_UNSUPPORTED),
     (("verify", "CP1", f"un_det:{_HUGE}"), cli.EXIT_UNSUPPORTED),
     (("charclasses", "CP2", f"fund:(2,{_HUGE})"), cli.EXIT_UNSUPPORTED),
-    # ValueError: a zero denominator or a flat_dim outside 0..dim m
+    # ValueError: a zero denominator, a value that is not an integer, or h
+    # indices out of range or repeated
     (("info", "Zm", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
     (("verify", "Zi", "spinor:3", "--config", "spaces.txt"),
      cli.EXIT_PARSE_ERROR),
     (("charclasses", "Zc", "spinor:3", "--config", "spaces.txt"),
      cli.EXIT_PARSE_ERROR),
     (("info", "Zt", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
-    (("info", "Fn", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
-    (("info", "Fm", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "Ci", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "Hx", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "H9", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "H4", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "Dx", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "Nx", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
 ])
 def test_fresh_process_error_exits_with_one_line(tmp_path, argv, code):
     # the bundle layers' error classes are imported on the error path only,
@@ -579,8 +602,12 @@ def test_fresh_process_error_exits_with_one_line(tmp_path, argv, code):
             ("Zi", "ip 0 0 1", "ip 0 0 1/0"),
             ("Zc", "c 0 1 3 1", "c 0 1 3 1/0"),
             ("Zt", "isotropy ip 0 0 1", "isotropy mat 0 0 1 1/0"),
-            ("Fn", "flat_dim 0", "flat_dim -5"),
-            ("Fm", "flat_dim 0", "flat_dim 4")]:
+            ("Ci", "c 0 1 3 1", "c 0 1.5 3 1"),
+            ("Hx", "h_indices 3 4 5", "h_indices 3 4 x"),
+            ("H9", "h_indices 3 4 5", "h_indices 3 4 9"),
+            ("H4", "h_indices 3 4 5", "h_indices 3 4 4"),
+            ("Dx", "dim 6", "dim x"),
+            ("Nx", "isotropy ip 0 0 1", "isotropy ip 0 0 1\nisotropy complex_n x")]:
         renamed = _renamed_text("S3", name)
         assert f"\n{old}\n" in renamed
         blocks.append(renamed.replace(f"\n{old}\n", f"\n{new}\n"))
@@ -618,9 +645,22 @@ def test_config_index_out_of_range_is_a_parse_error(tmp_path, capsys, line):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("old, new, want", [
+    ("c 0 1 3 1", "c 0 1.5 3 1", "c 0 1.5 3 1: '1.5' is not an integer"),
+    ("dim 6", "dim x", "dim x: 'x' is not an integer"),
+    ("h_indices 3 4 5", "h_indices 3 4 x", "h_indices 3 4 x: 'x' is not an integer"),
+    ("h_indices 3 4 5", "h_indices 3 4 4",
+     "h_indices 3 4 4: not distinct indices in 0..5"),
+])
+def test_config_integer_error_names_its_line(tmp_path, capsys, old, new, want):
+    text = _renamed_text("S3", "Bad").replace(f"\n{old}\n", f"\n{new}\n")
+    assert new in text
+    assert _config_err(tmp_path, capsys, text, "Bad") == (
+        cli.EXIT_PARSE_ERROR, f"error: {want}\n")
+
+
 @pytest.mark.parametrize("text, key", [
     ("algebra x\ndim\nspace Q\nmetric 1\n", "dim"),
-    ("algebra x\ndim 1\nspace Q\nmetric 1\nflat_dim\n", "flat_dim"),
 ])
 def test_bare_config_header_is_a_parse_error(tmp_path, capsys, text, key):
     path = tmp_path / "spaces.txt"

@@ -15,6 +15,7 @@ from symcurv import symspace as ss
 from symcurv.linalg import EPS, bivector_coeffs_from_skew, pair_index
 
 from counterexample import is_counterexample
+from eigenspaces import eigenspace_structure_residuals
 from homomorphism import bracket, validate_homomorphism
 
 
@@ -107,7 +108,7 @@ def test_su2_group_round():
 def test_eigenspace_structure():
     for name in ["S4", "CP2", "S2xS2"]:
         curv = ss.curvature_operator(ss.catalog(name))
-        res = ss.eigenspace_structure_residuals(curv)
+        res = eigenspace_structure_residuals(curv)
         assert max(res.values()) < 1e-8, (name, res)
 
 
@@ -253,6 +254,12 @@ def test_product_of_catalog_spaces_is_blockwise(a, b):
     # failing product carries the paper's R^2 counterexample
     assert rep.dim_kernel - rep.dim_span_bracket == math.comb(prod.flat_dim, 2)
     assert rep.holds or is_counterexample(prod, rep.witness)
+    # the flat factor is computed, additive over products, and the paper's
+    # boundary: Condition A holds exactly when it has dimension at most 1
+    assert prod.flat_dim == sa.flat_dim + sb.flat_dim
+    assert [ss.catalog(f"R{n}").flat_dim for n in range(1, 5)] == [1, 2, 3, 4]
+    for space in (sa, sb, prod):
+        assert ss.condition_a(space).holds == (space.flat_dim <= 1)
     want = reps.external_sum(ss.isotropy_rep(sa), ss.isotropy_rep(sb))
     assert ss.isotropy_rep(prod).images.tobytes() == want.images.tobytes()
     # R^M on the A-pairs and on the B-pairs is each factor's, zero elsewhere
@@ -270,7 +277,7 @@ def test_product_of_catalog_spaces_is_blockwise(a, b):
     for space in (sa, sb, prod):
         checked = ss.make_symmetric_space(
             space.g, space.h_indices, space.metric_diag, space.name,
-            flat_dim=space.flat_dim, isotropy_ref=space.isotropy_ref)
+            isotropy_ref=space.isotropy_ref)
         assert checked.m_indices == space.m_indices
 
 
@@ -450,5 +457,5 @@ def _eigenspace_residuals_ref(curv):
 def test_batched_eigenspace_residuals_match_loops():
     for name in ["S2", "S4", "S5", "CP2", "CP3", "S2xS3", "S2xR1", "R2"]:
         curv = ss.curvature_operator(ss.catalog(name))
-        assert ss.eigenspace_structure_residuals(curv) == \
+        assert eigenspace_structure_residuals(curv) == \
             _eigenspace_residuals_ref(curv), name
