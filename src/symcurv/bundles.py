@@ -304,8 +304,9 @@ def _complex_trace(m, jc):
 
 def weight_mode_n(space):
     """n when charclasses reads c1 as a representation weight, else None:
-    the base is CP^n with n > 1, up to flat factors, and its isotropy
-    algebra is make_u(n), whose basis c1_weight reads."""
+    the base is CP^n x R^k with dim m > 2, so CP1 x R^k (k >= 1) is one and
+    bare CP1 keeps its Chern-Weil report, and its isotropy algebra is
+    make_u(n), whose basis c1_weight reads."""
     ref, m = space.isotropy_ref, space.m_dim
     n = ref.complex_n
     ok = n and ref.name == f"u({n})" and m > 2 and m - space.flat_dim == 2 * n

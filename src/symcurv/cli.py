@@ -94,24 +94,18 @@ def load_space(name, config_path=None):
     try:
         return ss.catalog(name)
     except ss.UnknownSpace:
-        # only the block named on its `space` line is parsed, so errors in
-        # blocks for other spaces do not hide it
-        for block in _config_blocks(config_path) if config_path else ():
-            names = [p[1:] for p in map(str.split, block.splitlines())
-                     if p[:1] == ["space"]]
-            if names and " ".join(names[-1]) == name:
-                return ss.space_from_text(block)
+        if config_path and (space := ss.config_space(_read(config_path), name)):
+            return space
         raise
 
 
-def _config_blocks(path):
+def _read(path):
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise ValueError(
             f"cannot read config file {path}: {e.strerror or e}") from None
-    return [b for b in text.split("\n\n") if b.strip()]
 
 
 def cmd_info(args):

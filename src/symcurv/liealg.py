@@ -46,18 +46,19 @@ def _structure_from_matrices(mats):
     With the matrices scaled to integers M_i = D X_i, the Gram matrix
     2 D^2 <X_i, X_j> and every pairing 2 D^3 <X_k, [X_i, X_j]> are int_matmul
     products. One exact inverse of the Gram matrix, brought to a common
-    denominator, turns the pairings into coefficients by integer products,
-    one i at a time, so that no (dim, dim, dim) integer array is formed.
+    denominator and applied to the flattened basis once, turns the
+    commutators into coefficients by one integer product per i, so that no
+    (dim, dim, dim) integer array is formed.
     """
     m, den = ex.scale_to_int(np.stack(mats))
     flat = m.reshape(len(m), -1)
     gram = ex.int_matmul(flat, flat.T)
     inv, inv_den = ex.scale_to_int(ex.inverse(gram))
+    dual = ex.int_matmul(inv, flat)  # the Gram matrix is symmetric, so is inv
     c = ex.fzeros((len(m),) * 3)
     for i, mi in enumerate(m):
         comm = (ex.int_matmul(mi, m) - ex.int_matmul(m, mi)).reshape(flat.shape)
-        c[i] = ex.from_scaled_int(ex.int_matmul(ex.int_matmul(comm, flat.T),
-                                                inv.T), den * inv_den)
+        c[i] = ex.from_scaled_int(ex.int_matmul(comm, dual.T), den * inv_den)
     return c, ex.from_scaled_int(gram, 2 * den * den)
 
 
@@ -145,14 +146,16 @@ def make_su(n):
     return _from_matrices(f"su({n})", labels, mats, complex_n=n)
 
 
+@functools.cache
 def make_abelian(n):
     """R^n as an abelian Lie algebra with the standard inner product."""
+    c, ip = ex.fzeros((n, n, n)), ex.feye(n)
+    for a in (c, ip):  # read-only: one shared model per n
+        a.flags.writeable = False
     return LieAlgebraModel(
-        name=f"R^{n}" if n else "0",
-        dim=n,
+        name=f"R^{n}" if n else "0", dim=n,
         basis_labels=tuple(f"T{k + 1}" for k in range(n)),
-        structure=ex.fzeros((n, n, n)),
-        inner_product=ex.feye(n),
+        structure=c, inner_product=ip,
     )
 
 
@@ -173,28 +176,18 @@ def product_algebra(a, b):
 
 
 def change_basis(alg, p, name=None, labels=None):
-    """Model in the new basis Y_i = sum_j p[i, j] X_j (p exact, invertible)."""
+    """Model in the new basis Y_i = sum_j p[i, j] X_j (p exact, invertible),
+    without a matrix realization."""
     p = np.asarray(p, dtype=object)
     pinv = ex.inverse(p)
-    d = alg.dim
     # [Y_i, Y_j] = sum p[i, a] p[j, b] c[a, b, l] X_l, and X_l = sum pinv[l, k] Y_k,
     # contracted one index at a time
     c = np.einsum("jb,ibl->ijl", p, np.einsum("ia,abl->ibl", p, alg.structure))
     c = np.einsum("ijl,lk->ijk", c, pinv)
-    ip = np.dot(np.dot(p, alg.inner_product), p.T)
-    mats = None
-    if alg.matrices is not None:
-        mats = tuple(
-            sum(p[i, j] * alg.matrices[j] for j in range(d)) for i in range(d)
-        )
     return LieAlgebraModel(
-        name=name or alg.name,
-        dim=d,
+        name=name or alg.name, dim=alg.dim,
         basis_labels=tuple(labels) if labels else alg.basis_labels,
-        structure=c,
-        inner_product=ip,
-        matrices=mats,
-        complex_n=alg.complex_n,
+        structure=c, inner_product=np.dot(np.dot(p, alg.inner_product), p.T),
     )
 
 
@@ -252,21 +245,14 @@ def _jacobi_failures(c):
 
 
 def to_text(alg):
-    """Serialize to the structured text format: sparse rational entries of
-    the structure constants, inner product, matrix realization and factors."""
+    """Serialize to the structured text format: the name, dimension and
+    labels, then sparse rational entries of the structure constants and
+    the inner product."""
     lines = [f"algebra {alg.name}", f"dim {alg.dim}", "labels " + " ".join(alg.basis_labels)]
-    if alg.complex_n is not None:
-        lines.append(f"complex_n {alg.complex_n}")
     lines += [f"c {i} {j} {k} {v}" for (i, j, k), v in np.ndenumerate(alg.structure)
               if i < j and v != 0]
     lines += [f"ip {i} {j} {v}" for (i, j), v in np.ndenumerate(alg.inner_product)
               if i <= j and v != 0]
-    if alg.matrices is not None:
-        lines.append(f"matrix_size {alg.matrices[0].shape[0] if alg.dim else 1}")
-        lines += [f"mat {t} {r} {s} {v}" for t, m in enumerate(alg.matrices)
-                  for (r, s), v in np.ndenumerate(m) if v != 0]
-    for f, factor in enumerate(alg.factors):  # nested, prefixed factor0, 1
-        lines += [f"factor{f} {line}" for line in to_text(factor).splitlines()]
     return "\n".join(lines) + "\n"
 
 
@@ -290,53 +276,36 @@ def number(line, value, kind=Fraction):
         raise ValueError(f"{line}: {value!r} is not {what}") from None
 
 
-def header_int(head, key):
-    """The integer on header line `key`; ValueError if the line is bare."""
-    if not head[key]:
-        raise ValueError(f"{key}: missing value")
-    return number(" ".join([key, *head[key]]), head[key][0], int)
-
-
 def from_text(text):
-    head, entries = {}, {"c": [], "ip": [], "mat": []}
-    blocks = {"factor0": [], "factor1": []}
+    """Parse a to_text block and validate it: ValueError names the first
+    failure. Lines with other keys, such as the matrix, complex_n and
+    factor lines of older files, are ignored."""
+    head, entries = {}, {"c": [], "ip": []}
     for raw in text.splitlines():
         parts = raw.split()
-        if parts and parts[0] in blocks:
-            blocks[parts[0]].append(" ".join(parts[1:]))
-        elif parts and parts[0] in entries:
+        if parts and parts[0] in entries:
             entries[parts[0]].append(([number(raw.strip(), v, int) for v in parts[1:-1]],
                                       number(raw.strip(), parts[-1])))
         elif parts:  # header lines; unknown keys and comments are ignored
             head[parts[0]] = parts[1:]
     if "algebra" not in head or "dim" not in head:
         raise ValueError("missing algebra header")
-    dim = header_int(head, "dim")
+    if not head["dim"]:
+        raise ValueError("dim: missing value")
+    dim = number(" ".join(["dim", *head["dim"]]), head["dim"][0], int)
     c = ex.fzeros((dim, dim, dim))
     for (i, j, k), v in checked_entries("c", entries["c"], c.shape):
         c[i, j, k], c[j, i, k] = v, -v
     ip = ex.fzeros((dim, dim))
     for (i, j), v in checked_entries("ip", entries["ip"], ip.shape):
         ip[i, j] = ip[j, i] = v
-    mats = None
-    if "matrix_size" in head:
-        size = header_int(head, "matrix_size")
-        mats = tuple(ex.fzeros((size, size)) for _ in range(dim))
-        for (t, r, s), v in checked_entries("mat", entries["mat"],
-                                            (dim, size, size)):
-            mats[t][r, s] = v
-    name, lo = " ".join(head["algebra"]), 0
-    factors = tuple(from_text("\n".join(v)) for v in blocks.values() if v)
-    if factors and (len(factors) != 2 or sum(f.dim for f in factors) != dim):
-        raise ValueError(f"factor blocks of {name} do not split its dimension")
-    for f, hi in zip(factors, (factors[0].dim, dim) if factors else ()):
-        if (f.structure != c[lo:hi, lo:hi, lo:hi]).any():  # its diagonal block
-            raise ValueError(f"factor {f.name} differs from its block of {name}")
-        lo = hi
-    return LieAlgebraModel(
-        name=name, dim=dim,
+    alg = LieAlgebraModel(
+        name=" ".join(head["algebra"]), dim=dim,
         basis_labels=tuple(head.get("labels") or (f"X{k + 1}" for k in range(dim))),
-        structure=c, inner_product=ip, matrices=mats,
-        complex_n=header_int(head, "complex_n") if "complex_n" in head else None,
-        factors=factors,
+        structure=c, inner_product=ip,
     )
+    report = validate(alg)
+    if not report.ok:
+        check, idx = report.witness
+        raise ValueError(f"algebra {alg.name} fails {check} at {idx}")
+    return alg

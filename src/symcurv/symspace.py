@@ -9,6 +9,7 @@ R(X,Y)Z = -[[X,Y],Z]).
 """
 
 import functools
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,10 +156,12 @@ class ConditionAReport:
 def make_symmetric_space(g, h_indices, metric_diag, name, isotropy_ref=None):
     """Validated Cartan pair with a diagonal Ad(h)-invariant metric on m.
     Without an isotropy algebra, h itself is one: g's structure constants
-    and inner product on h_indices, named after g with a '|h' suffix."""
+    and inner product on h_indices, named after g with a '|h' suffix. An
+    isotropy algebra with other structure constants than g's on h is a
+    ValueError that names the first differing (i, j, k)."""
     h_indices = tuple(h_indices)
     m_indices = tuple(i for i in range(g.dim) if i not in h_indices)
-    if len(h_indices) + len(m_indices) != g.dim or len(set(h_indices)) != len(h_indices):
+    if sorted(h_indices + m_indices) != list(range(g.dim)):
         raise NotCartanPair("h indices do not select a subset of the basis")
     metric_diag = ex.farray(metric_diag)
     if len(metric_diag) != len(m_indices):
@@ -188,14 +191,23 @@ def make_symmetric_space(g, h_indices, metric_diag, name, isotropy_ref=None):
             f"metric not ad(h)-invariant at (H={h_indices[t]}, "
             f"X={m_indices[a]}, Y={m_indices[b]})"
         )
-    h = h_indices
-    isotropy_ref = isotropy_ref or liealg.LieAlgebraModel(
-        f"{g.name}|h", len(h), tuple(g.basis_labels[i] for i in h),
-        st[np.ix_(h, h, h)], g.inner_product[np.ix_(h, h)])
+    isotropy_ref = isotropy_ref or _h_algebra(g, h_indices, f"{g.name}|h")
+    bad = np.argwhere(isotropy_ref.structure != st[np.ix_(h_indices, h_indices, h_indices)])
+    if len(bad):
+        raise ValueError(f"isotropy algebra {isotropy_ref.name} differs from h "
+                         f"at {tuple(int(v) for v in bad[0])}")
     return SymmetricSpaceModel(
         g=g, h_indices=h_indices, m_indices=m_indices, metric_diag=metric_diag,
         name=name, isotropy_ref=isotropy_ref,
     )
+
+
+def _h_algebra(g, h, name):
+    """h itself as an algebra: g's structure constants and inner product
+    on the indices h."""
+    return liealg.LieAlgebraModel(
+        name, len(h), tuple(g.basis_labels[i] for i in h),
+        g.structure[np.ix_(h, h, h)], g.inner_product[np.ix_(h, h)])
 
 
 def curvature_operator(space) -> CurvatureOperator:
@@ -269,67 +281,53 @@ def condition_a(space) -> ConditionAReport:
 
 
 def product_space(a, b) -> SymmetricSpaceModel:
-    """a x b, unchecked: a product of two validated Cartan pairs is one."""
-    # only ext(...) reads factors, so g keeps no factors' structure alive
-    g = liealg.product_algebra(a.g, b.g)
-    ref_a, ref_b = a.isotropy_ref, b.isotropy_ref
-    ref = ref_a if b.h_dim == 0 else ref_b if a.h_dim == 0 else replace(
-        liealg.product_algebra(ref_a, ref_b), factors=(ref_a, ref_b))
+    """a x b, unchecked: a product of two validated Cartan pairs is one.
+    Only ext(...) reads factors, so g keeps no factors' structure alive."""
     return SymmetricSpaceModel(
-        g=g, name=f"{a.name}x{b.name}",
+        g=liealg.product_algebra(a.g, b.g), name=f"{a.name}x{b.name}",
         h_indices=a.h_indices + tuple(i + a.g.dim for i in b.h_indices),
         m_indices=a.m_indices + tuple(i + a.g.dim for i in b.m_indices),
         metric_diag=np.concatenate([a.metric_diag, b.metric_diag]),
-        isotropy_ref=ref,
+        isotropy_ref=_isotropy_sum(a.isotropy_ref, b.isotropy_ref),
     )
+
+
+def _isotropy_sum(a, b):
+    """a + b as a product's isotropy algebra: a summand of dimension 0 drops
+    out, and a true sum records its factors, which ext(...) reads."""
+    return a if b.dim == 0 else b if a.dim == 0 else replace(
+        liealg.product_algebra(a, b), factors=(a, b))
 
 
 def sphere_model(n):
     """Unit round S^n as so(n+1)/so(n); curvature operator is the identity."""
     g = liealg.make_so(n + 1)
-    # lexicographic pair order puts the (0, j) generators (the m part) first
-    m_count = n
-    h_idx = tuple(range(m_count, g.dim))
+    # lexicographic pair order puts the n (0, j) generators (the m part) first
     ref = liealg.make_so(n) if n >= 2 else liealg.make_abelian(0)
-    return make_symmetric_space(g, h_idx, [1] * m_count, f"S{n}",
+    return make_symmetric_space(g, range(n, g.dim), [1] * n, f"S{n}",
                                 isotropy_ref=ref)
 
 
 def _cp_basis(n):
     """Basis of su(n+1) adapted to CP^n: m first (Z_1..Z_n, W_1..W_n), then h."""
-    zero = ex.fzeros((n + 1, n + 1))
-    mats, labels = [], []
-    for k in range(n):
-        x = ex.fzeros((n + 1, n + 1))
-        x[k + 1, 0] = ex.ONE
-        x[0, k + 1] = -ex.ONE
-        mats.append(liealg.realify(x, zero))
-        labels.append(f"Z{k + 1}")
-    for k in range(n):
-        y = ex.fzeros((n + 1, n + 1))
-        y[k + 1, 0] = ex.ONE
-        y[0, k + 1] = ex.ONE
-        mats.append(liealg.realify(zero, y))
-        labels.append(f"W{k + 1}")
-    # h = { diag(-tr A, A) : A in u(n) }
+    e, zero = functools.partial(liealg._eij, n=n + 1), ex.fzeros((n + 1, n + 1))
+    mats = [liealg.realify(e(k, 0) - e(0, k), zero) for k in range(1, n + 1)]
+    mats += [liealg.realify(zero, e(k, 0) + e(0, k)) for k in range(1, n + 1)]
+    labels = [f"{s}{k}" for s in "ZW" for k in range(1, n + 1)]
+    # h = { diag(-tr A, A) : A in u(n) }, from the real and imaginary parts
     un = liealg.make_u(n)
-    for t, m in enumerate(un.matrices):
-        x, y = liealg.complex_parts(m)
-        bx = ex.fzeros((n + 1, n + 1))
-        by = ex.fzeros((n + 1, n + 1))
-        bx[1:, 1:] = x
-        by[1:, 1:] = y
-        bx[0, 0] = -sum(x[i, i] for i in range(n))
-        by[0, 0] = -sum(y[i, i] for i in range(n))
-        mats.append(liealg.realify(bx, by))
-        labels.append(f"H.{un.basis_labels[t]}")
-    return mats, labels, un
+    for m in un.matrices:
+        parts = [ex.fzeros((n + 1, n + 1)) for _ in range(2)]
+        for b, p in zip(parts, liealg.complex_parts(m)):
+            b[1:, 1:], b[0, 0] = p, -sum(p[i, i] for i in range(n))
+        mats.append(liealg.realify(*parts))
+    return mats, labels + [f"H.{s}" for s in un.basis_labels], un
 
 
 def cp_model(n):
     """CP^n = su(n+1)/u(n), normalized to holomorphic sectional curvature 4."""
     mats, labels, un = _cp_basis(n)
-    g = liealg._from_matrices(f"su({n + 1})|cp", labels, mats, complex_n=n + 1)
+    g = liealg._from_matrices(f"su({n + 1})|cp", labels, mats)
     h_idx = tuple(range(2 * n, g.dim))
     base, zw = g.inner_product[0, 0], g.structure[0, n]  # base: uniform on m
     # at metric base, K(Z_1, W_1) = <[Z_1, W_1], [Z_1, W_1]> / base^2; it
@@ -343,13 +341,11 @@ def group_model():
     """SU(2) as a symmetric space: G = SU(2) x SU(2), H the diagonal. The
     basis is diag(X, X) (D1..D3, spanning h), then diag(X, -X) (A1..A3)."""
     su2 = liealg.make_su(2)
-    d = su2.dim
     mats = [np.kron(np.diag([1, s]), x) for s in (1, -1) for x in su2.matrices]
-    labels = [f"D{i + 1}" for i in range(d)] + [f"A{i + 1}" for i in range(d)]
+    labels = [f"{s}{i}" for s in "DA" for i in range(1, su2.dim + 1)]
     g = liealg._from_matrices("su(2)+su(2)|diag", labels, mats)
-    metric = [g.inner_product[d + i, d + i] for i in range(d)]
-    return make_symmetric_space(g, tuple(range(d)), metric, "SU2_group",
-                                isotropy_ref=su2)
+    return make_symmetric_space(g, range(su2.dim), g.inner_product.diagonal()[su2.dim:],
+                                "SU2_group", isotropy_ref=su2)
 
 
 def flat_model(n):
@@ -363,26 +359,24 @@ def rescale_metric(space, factor):
     return replace(space, metric_diag=space.metric_diag * ex.frac(factor))
 
 
+# catalog families by name prefix: (what, least n, greatest n, model)
+_FAMILIES = {"S": ("sphere", 2, 8, sphere_model),
+             "CP": ("projective space", 1, 3, cp_model),
+             "R": ("flat factor", 1, 4, flat_model)}
+
+
 @functools.lru_cache(maxsize=None)
 def _catalog_atom(name):
-    if name.startswith("S") and name[1:].isdigit():
-        n = int(name[1:])
-        if 2 <= n <= 8:
-            return sphere_model(n)
-        raise UnknownSpace(f"sphere {name} outside catalog range S2..S8")
-    if name.startswith("CP") and name[2:].isdigit():
-        n = int(name[2:])
-        if 1 <= n <= 3:
-            return cp_model(n)
-        raise UnknownSpace(f"projective space {name} outside catalog range CP1..CP3")
-    if name.startswith("R") and name[1:].isdigit():
-        n = int(name[1:])
-        if 1 <= n <= 4:
-            return flat_model(n)
-        raise UnknownSpace(f"flat factor {name} outside catalog range R1..R4")
     if name == "SU2_group":
         return group_model()
-    raise UnknownSpace(f"unknown space {name!r}")
+    m = re.fullmatch(r"(S|CP|R)(.+)", name)
+    if not (m and m[2].isdigit()):
+        raise UnknownSpace(f"unknown space {name!r}")
+    what, lo, hi, model = _FAMILIES[m[1]]
+    if not lo <= int(m[2]) <= hi:
+        raise UnknownSpace(f"{what} {name} outside catalog range "
+                           f"{m[1]}{lo}..{m[1]}{hi}")
+    return model(int(m[2]))
 
 
 def catalog(name):
@@ -398,53 +392,70 @@ def catalog(name):
 
 
 def space_to_text(space):
-    """One text block; the isotropy algebra, in h's basis, is embedded as
-    its own liealg.to_text block with every line prefixed by 'isotropy'."""
-    lines = [liealg.to_text(space.g).rstrip()]
-    lines.append(f"space {space.name}")
-    lines.append("h_indices " + " ".join(str(i) for i in space.h_indices))
-    lines.append("metric " + " ".join(str(v) for v in space.metric_diag))
-    lines += ["isotropy " + line
-              for line in liealg.to_text(space.isotropy_ref).splitlines()]
-    return "\n".join(lines) + "\n"
+    """One text block: g's liealg.to_text block, the space's lines, and the
+    name of its isotropy algebra, which space_from_text resolves."""
+    lines = [f"space {space.name}", "h_indices " + " ".join(map(str, space.h_indices)),
+             "metric " + " ".join(map(str, space.metric_diag)),
+             f"isotropy algebra {space.isotropy_ref.name}"]
+    return liealg.to_text(space.g) + "\n".join(lines) + "\n"
 
 
-def _check_algebra(alg):
-    report = liealg.validate(alg)
-    if not report.ok:
-        check, idx = report.witness
-        raise ValueError(f"algebra {alg.name} fails {check} at {idx}")
+_SPELLED_DIM = dict(so=lambda n: n * (n - 1) // 2, u=lambda n: n * n,
+                    su=lambda n: n * n - 1)
+
+
+def _named_isotropy(name, g, h):
+    """The isotropy algebra a block names, on h. A '+'-sum of so(n), u(n), su(n) and 0 is the sum of the shared make_*
+    models, nested to the left as product_space nests it; a dimension other
+    than len(h) is a ValueError before any model is built. Any other name
+    is h itself under that name."""
+    spelled = [re.fullmatch(r"(so|u|su)\((\d+)\)|0", p) for p in name.split("+")]
+    if not all(spelled):
+        return _h_algebra(g, h, name)
+    parts = [(m[1], int(m[2])) for m in spelled if m[1]]
+    dim = sum(_SPELLED_DIM[k](n) for k, n in parts)
+    if dim != len(h):
+        raise ValueError(f"isotropy algebra {name} has dimension {dim}, "
+                         f"h has {len(h)}")
+    try:
+        ref = functools.reduce(_isotropy_sum, [getattr(liealg, f"make_{k}")(n)
+                                               for k, n in parts], liealg.make_abelian(0))
+    except ValueError as e:  # an n below make_*'s range
+        raise ValueError(f"isotropy algebra {name}: {e}") from None
+    return ref
 
 
 def space_from_text(text):
-    """Parse a space_to_text block. The algebra, and the isotropy algebra
-    against h, are checked: ValueError names the first failure."""
+    """Parse a space_to_text block; ValueError names the first failure.
+    Without an `isotropy algebra` line, h itself is the isotropy algebra;
+    other isotropy lines, which older files carry, are ignored."""
     alg = liealg.from_text(text)
-    head, iso = {}, []
-    for raw in text.splitlines():
-        parts = raw.split()
-        if parts[:1] == ["isotropy"]:
-            iso.append(" ".join(parts[1:]))
-        elif parts:
+    head, iso = {}, None
+    for parts in map(str.split, text.splitlines()):
+        if parts[:2] == ["isotropy", "algebra"]:
+            iso = " ".join(parts[2:])
+        elif parts[:1] not in ([], ["isotropy"]):
             head[parts[0]] = parts[1:]
     if "space" not in head or "metric" not in head:
         raise ValueError("missing space header")
-    _check_algebra(alg)
-    line = " ".join(["h_indices", *head.get("h_indices", ())])
-    h = tuple(liealg.number(line, v, int) for v in head.get("h_indices", ()))
+    words = head.get("h_indices", [])
+    line = " ".join(["h_indices", *words])
+    h = tuple(liealg.number(line, v, int) for v in words)
     if len(set(h)) != len(h) or not all(0 <= i < alg.dim for i in h):
         raise ValueError(f"{line}: not distinct indices in 0..{alg.dim - 1}")
-    ref = liealg.from_text("\n".join(iso)) if iso else None
-    space = make_symmetric_space(
+    return make_symmetric_space(
         alg, h, [liealg.number("metric", v) for v in head["metric"]],
-        " ".join(head["space"]), isotropy_ref=ref)
-    if ref is not None:
-        if ref.dim != len(h):
-            raise ValueError(f"isotropy algebra {ref.name} has dimension "
-                             f"{ref.dim}, h has {len(h)}")
-        bad = np.argwhere(ref.structure != alg.structure[np.ix_(h, h, h)])
-        if len(bad):
-            raise ValueError(f"isotropy algebra {ref.name} differs from h at "
-                             f"{tuple(int(v) for v in bad[0])}")
-        _check_algebra(ref)
-    return space
+        " ".join(head["space"]),
+        isotropy_ref=_named_isotropy(iso, alg, h) if iso else None)
+
+
+def config_space(text, name):
+    """The space named `name` in a config file's text, or None. Blocks end
+    at lines that hold only whitespace; only the one whose last `space` line
+    names the space is parsed, so other blocks' errors do not hide it."""
+    for block in re.split(r"\n\s*\n", text):
+        names = [p[1:] for p in map(str.split, block.splitlines())
+                 if p[:1] == ["space"]]
+        if names and " ".join(names[-1]) == name:
+            return space_from_text(block)
+    return None

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import symcurv
-from symcurv import _exact as ex
 from symcurv import bundles as bn
 from symcurv import cli, liealg, reps
 from symcurv import symspace as ss
+
+from trees import algebra_tree
 
 
 def run(capsys, *argv):
@@ -170,11 +171,12 @@ def test_charclasses_cp2_weight_mode(capsys):
 
 
 def test_charclasses_weight_mode_needs_a_u_n_isotropy(tmp_path, capsys):
-    # complex_n on S4's so(4) does not make it a CP^2 base
+    # a stray complex_n line, which older files could carry, is ignored:
+    # S4's isotropy algebra is so(4), not a CP^2 base
     path = tmp_path / "spaces.txt"
     path.write_text(_renamed_text("S4", "S4j") + "isotropy complex_n 2\n")
     s4j = ss.space_from_text(path.read_text())
-    assert s4j.isotropy_ref.complex_n == 2
+    assert s4j.isotropy_ref is liealg.make_so(4)
     with pytest.raises(bn.UnsupportedBase):  # c1_weight checks its base
         bn.c1_weight(s4j, reps.spin4_irrep(1, 0))
     code, want = run(capsys, "charclasses", "S4", "spin4:(1,0)")
@@ -182,6 +184,19 @@ def test_charclasses_weight_mode_needs_a_u_n_isotropy(tmp_path, capsys):
               str(path))
     assert json.loads(want)["mode"] == "chern-weil"
     assert got == (code, want.replace('"S4"', '"S4j"'))
+
+
+@pytest.mark.parametrize("k", [-2, 1, 2, 3])
+def test_cp1_times_flat_weight_is_cp1_chern_weil_c1(capsys, k):
+    # the weight mode covers CP1 x R^k (dim m > 2), and its weight is the
+    # Chern-Weil c1 that bare CP1 reports for the same rep
+    code, out = run(capsys, "charclasses", "CP1xR1", f"det:(1,{k})")
+    weight = json.loads(out)
+    _, out = run(capsys, "charclasses", "CP1", f"det:(1,{k})")
+    chern_weil = json.loads(out)
+    assert code == 0 and weight["mode"] == "representation-weight"
+    assert chern_weil["mode"] == "chern-weil"
+    assert weight["c1_weight"] == chern_weil["c1"] == k
 
 
 def test_config_flat_dim_line_is_ignored(tmp_path, capsys):
@@ -577,8 +592,9 @@ _HUGE = 10 ** 400
     (("verify", "CP1", f"det:(1,{_HUGE})"), cli.EXIT_UNSUPPORTED),
     (("verify", "CP1", f"un_det:{_HUGE}"), cli.EXIT_UNSUPPORTED),
     (("charclasses", "CP2", f"fund:(2,{_HUGE})"), cli.EXIT_UNSUPPORTED),
-    # ValueError: a zero denominator, a value that is not an integer, or h
-    # indices out of range or repeated
+    # ValueError: a zero denominator, a value that is not an integer, h
+    # indices out of range or repeated, or an isotropy algebra whose
+    # spelled dimension is not h's (so(100000) is never built)
     (("info", "Zm", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
     (("verify", "Zi", "spinor:3", "--config", "spaces.txt"),
      cli.EXIT_PARSE_ERROR),
@@ -591,6 +607,8 @@ _HUGE = 10 ** 400
     (("info", "H4", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
     (("info", "Dx", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
     (("info", "Nx", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    # ValueError: a spelled n below make_so's range
+    (("info", "Lo", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
 ])
 def test_fresh_process_error_exits_with_one_line(tmp_path, argv, code):
     # the bundle layers' error classes are imported on the error path only,
@@ -601,13 +619,14 @@ def test_fresh_process_error_exits_with_one_line(tmp_path, argv, code):
             ("Zm", "metric 1 1 1", "metric 1/0 1 1"),
             ("Zi", "ip 0 0 1", "ip 0 0 1/0"),
             ("Zc", "c 0 1 3 1", "c 0 1 3 1/0"),
-            ("Zt", "isotropy ip 0 0 1", "isotropy mat 0 0 1 1/0"),
+            ("Zt", "isotropy algebra so(3)", "isotropy algebra so(2)"),
             ("Ci", "c 0 1 3 1", "c 0 1.5 3 1"),
             ("Hx", "h_indices 3 4 5", "h_indices 3 4 x"),
             ("H9", "h_indices 3 4 5", "h_indices 3 4 9"),
             ("H4", "h_indices 3 4 5", "h_indices 3 4 4"),
             ("Dx", "dim 6", "dim x"),
-            ("Nx", "isotropy ip 0 0 1", "isotropy ip 0 0 1\nisotropy complex_n x")]:
+            ("Nx", "isotropy algebra so(3)", "isotropy algebra so(100000)"),
+            ("Lo", "isotropy algebra so(3)", "isotropy algebra so(1)+so(3)")]:
         renamed = _renamed_text("S3", name)
         assert f"\n{old}\n" in renamed
         blocks.append(renamed.replace(f"\n{old}\n", f"\n{new}\n"))
@@ -634,7 +653,7 @@ def test_missing_config_file_is_a_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["c 0 1 5 1", "c 0 -1 2 1", "c 0 1 1",
-                                  "ip 0 3 1", "mat 0 0 9 1", "mat 3 0 0 1"])
+                                  "ip 0 3 1"])
 def test_config_index_out_of_range_is_a_parse_error(tmp_path, capsys, line):
     text = ss.space_to_text(dataclasses.replace(ss.catalog("S2"), name="Bad"))
     path = tmp_path / "spaces.txt"
@@ -678,6 +697,61 @@ def test_bad_config_block_does_not_hide_another_space(tmp_path, capsys):
                     + ss.space_to_text(good))
     code, out = run(capsys, "info", "Good", "--config", str(path))
     assert code == 0 and json.loads(out)["name"] == "Good"
+
+
+def test_whitespace_line_separates_config_blocks(tmp_path):
+    # a line holding only a space ends a block as an empty line does
+    (tmp_path / "spaces.txt").write_text(
+        _renamed_text("S3", "A3") + " \n" + _renamed_text("S2", "B1"))
+    for name, dim_m in (("A3", 3), ("B1", 2)):
+        res = subprocess.run(
+            [sys.executable, "-m", "symcurv.cli", "info", name, "--config",
+             "spaces.txt"], cwd=tmp_path, env=_env(), capture_output=True,
+            text=True)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert json.loads(res.stdout)["dim_m"] == dim_m
+
+
+def test_config_name_is_parsed_through_the_module_attribute(tmp_path,
+                                                            monkeypatch):
+    # the benchmark wraps ss.space_from_text to time the parse, so
+    # load_space must reach it through the module attribute
+    path = tmp_path / "spaces.txt"
+    path.write_text(_renamed_text("S3", "Cfg"))
+    parsed = []
+    space_from_text = ss.space_from_text
+
+    def spy(text):
+        parsed.append(text)
+        return space_from_text(text)
+
+    monkeypatch.setattr(ss, "space_from_text", spy)
+    space = cli.load_space("Cfg", str(path))
+    assert space.name == "Cfg" and len(parsed) == 1
+    assert cli.load_space("S3", str(path)).name == "S3" and len(parsed) == 1
+
+
+# blocks written by the format that stored the isotropy algebra in full
+# (structure constants, matrices, complex_n and nested factor blocks): the
+# catalog space each copies, and a rep to verify on it
+_OLD_FORMAT = {"CP3old": ("CP3", "un_fund:1"),
+               "S234old": ("S2xS3xS4",
+                           "ext(ext(spin2:1,spinor:3),spin4:(1,0))"),
+               "CP1S2old": ("CP1xS2", "ext(un_det:1,spin2:2)"),
+               "SU2old": ("SU2_group", "su2:1")}
+
+
+@pytest.mark.parametrize("new", _OLD_FORMAT)
+def test_old_format_config_loads(capsys, new):
+    path = os.path.join(os.path.dirname(__file__), "old_format_spaces.txt")
+    name, desc = _OLD_FORMAT[new]
+    assert algebra_tree(cli.load_space(new, path).isotropy_ref) == \
+        algebra_tree(ss.catalog(name).isotropy_ref)
+    for argv in (["info"], ["verify", desc]):
+        code, want = run(capsys, argv[0], name, *argv[1:])
+        got = run(capsys, argv[0], new, *argv[1:], "--config", path)
+        assert code == 0
+        assert got == (code, want.replace(f'"{name}"', f'"{new}"')), argv
 
 
 def test_charclasses_weight_mode_checks_rep_source(capsys):
@@ -728,30 +802,50 @@ def test_config_algebra_failing_jacobi_is_a_parse_error(tmp_path, capsys):
     assert err == "error: algebra so(4) fails jacobi at (0, 1, 4)\n"
 
 
-def test_config_isotropy_failing_invariance_is_a_parse_error(tmp_path, capsys):
-    text = _renamed_text("S3", "Bad")
-    assert "\nisotropy ip 0 0 1\n" in text
-    code, err = _config_err(
-        tmp_path, capsys,
-        text.replace("\nisotropy ip 0 0 1\n", "\nisotropy ip 0 0 2\n"), "Bad")
-    assert code == cli.EXIT_PARSE_ERROR
-    assert err == "error: algebra so(3) fails invariance at (1, 0, 2)\n"
-
-
 @pytest.mark.parametrize("swap, want", [
     # an isotropy algebra of another dimension
     (None, "error: isotropy algebra so(2) has dimension 1, h has 3\n"),
-    # the right algebra with two basis elements swapped
+    # so(3) on h with its first two basis elements swapped
     ([1, 0, 2], "error: isotropy algebra so(3) differs from h at (0, 1, 2)\n"),
 ])
 def test_config_isotropy_not_matching_h_is_a_parse_error(tmp_path, capsys,
                                                          swap, want):
-    s3 = ss.catalog("S3")
-    iso = (ss.catalog("S2").isotropy_ref if swap is None else
-           liealg.change_basis(s3.isotropy_ref, ex.feye(3)[swap]))
-    bad = dataclasses.replace(s3, name="Bad", isotropy_ref=iso)
-    code, err = _config_err(tmp_path, capsys, ss.space_to_text(bad), "Bad")
+    text = _renamed_text("S3", "Bad")
+    assert "\nh_indices 3 4 5\n" in text and text.endswith(
+        "\nisotropy algebra so(3)\n")
+    if swap is None:
+        text = text.replace("algebra so(3)", "algebra so(2)")
+    else:
+        h = " ".join(str(3 + i) for i in swap)
+        text = text.replace("h_indices 3 4 5", f"h_indices {h}")
+    code, err = _config_err(tmp_path, capsys, text, "Bad")
     assert (code, err) == (cli.EXIT_PARSE_ERROR, want)
+
+
+@pytest.mark.parametrize("name, want", [
+    ("so(1)+so(3)", "so(n) needs n >= 2"), ("u(0)+so(3)", "u(n) needs n >= 1"),
+    ("so(3)+su(1)", "su(n) needs n >= 2")])
+def test_config_isotropy_n_out_of_range_is_a_parse_error(tmp_path, capsys,
+                                                         name, want):
+    # each has h's dimension, 3, and an n that make_* rejects
+    text = _renamed_text("S3", "Bad").replace("algebra so(3)", f"algebra {name}")
+    assert _config_err(tmp_path, capsys, text, "Bad") == (
+        cli.EXIT_PARSE_ERROR, f"error: isotropy algebra {name}: {want}\n")
+
+
+def test_config_isotropy_dimension_is_checked_before_building(
+        tmp_path, capsys, monkeypatch):
+    # so(100000) would take 5e9 basis elements: the spelled dimension is
+    # compared with h's before make_so is reached
+    def no_build(n):
+        raise AssertionError(f"make_so({n}) was called")
+
+    monkeypatch.setattr(liealg, "make_so", no_build)
+    text = _renamed_text("S3", "Bad").replace("algebra so(3)",
+                                              "algebra so(100000)")
+    assert _config_err(tmp_path, capsys, text, "Bad") == (
+        cli.EXIT_PARSE_ERROR, "error: isotropy algebra so(100000) has "
+        "dimension 4999950000, h has 3\n")
 
 
 def test_config_with_h_to_ref_lines_still_loads(tmp_path, capsys):
@@ -777,22 +871,12 @@ def test_input_too_large_for_memory_is_unsupported(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-def _algebra_tree(alg):
-    return alg.name, alg.dim, alg.complex_n, tuple(map(_algebra_tree,
-                                                       alg.factors))
-
-
 @pytest.mark.parametrize("name", ["S2xS3", "CP1xS2", "S2xS3xS4"])
 def test_config_product_keeps_isotropy_factors(name):
-    want = _algebra_tree(ss.catalog(name).isotropy_ref)
+    want = algebra_tree(ss.catalog(name).isotropy_ref)
     text = _renamed_text(name, "P")
-    assert _algebra_tree(ss.space_from_text(text).isotropy_ref) == want
+    assert algebra_tree(ss.space_from_text(text).isotropy_ref) == want
     assert want[3]  # the factors, nested on S2xS3xS4
-    # a file written before factors were kept still loads, without them
-    old = ss.space_from_text("".join(
-        line for line in text.splitlines(keepends=True)
-        if not line.startswith("isotropy factor")))
-    assert _algebra_tree(old.isotropy_ref) == want[:3] + ((),)
 
 
 @pytest.mark.parametrize("name, desc", [
@@ -805,20 +889,3 @@ def test_config_product_builds_ext_on_its_factors(tmp_path, capsys, name,
     got = run(capsys, "verify", "P", desc, "--config", str(path))
     assert code == 0
     assert got == (code, want.replace(f'"{name}"', '"P"'))
-
-
-@pytest.mark.parametrize("old, new, want", [
-    # so(3)'s bracket doubled
-    ("isotropy factor1 c 0 1 2 1\n", "isotropy factor1 c 0 1 2 2\n",
-     "factor so(3) differs from its block of so(2)+so(3)"),
-    # so(2) claimed to have dimension 2
-    ("isotropy factor0 dim 1\n", "isotropy factor0 dim 2\n",
-     "factor blocks of so(2)+so(3) do not split its dimension"),
-], ids=["structure", "dimension"])
-def test_config_factor_not_matching_its_block_is_a_parse_error(
-        tmp_path, capsys, old, new, want):
-    text = _renamed_text("S2xS3", "Bad")
-    assert "\n" + old in text
-    code, err = _config_err(tmp_path, capsys, text.replace("\n" + old,
-                                                           "\n" + new), "Bad")
-    assert (code, err) == (cli.EXIT_PARSE_ERROR, f"error: {want}\n")

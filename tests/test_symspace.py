@@ -17,6 +17,7 @@ from symcurv.linalg import EPS, bivector_coeffs_from_skew, pair_index
 from counterexample import is_counterexample
 from eigenspaces import eigenspace_structure_residuals
 from homomorphism import bracket, validate_homomorphism
+from trees import algebra_tree
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -137,6 +138,55 @@ def test_serialization_roundtrip():
     assert back.name == "S3"
     assert ex.is_zero(ss.curvature_operator(back).matrix
                       - ss.curvature_operator(s3).matrix)
+
+
+_ATOMS = [f"S{n}" for n in range(2, 9)] + ["CP1", "CP2", "CP3"] + [
+    f"R{n}" for n in range(1, 5)] + ["SU2_group"]
+_TEXT_SPACES = _ATOMS + [f"{a}x{b}" for a, b in itertools.combinations_with_replacement(
+    ["S2", "S3", "S4", "S5", "CP1", "CP2", "R1", "R2", "SU2_group", "S2xR1"], 2)
+] + ["S2xS3xS2", "S2xS3xS4", "CP1xR1xS2"]
+
+
+@pytest.mark.parametrize("name", _TEXT_SPACES)
+def test_text_roundtrip_keeps_the_cartan_pair_and_isotropy_algebra(name):
+    space = ss.catalog(name)
+    text = ss.space_to_text(space)
+    back = ss.space_from_text(text)
+    assert _same_fractions(back.g.structure, space.g.structure)
+    assert _same_fractions(back.g.inner_product, space.g.inner_product)
+    assert back.h_indices == space.h_indices and back.name == name
+    assert _same_fractions(back.metric_diag, space.metric_diag)
+    ref, want = back.isotropy_ref, space.isotropy_ref
+    assert _same_fractions(ref.structure, want.structure)
+    assert algebra_tree(ref) == algebra_tree(want)
+    # an atom's isotropy algebra is the one shared make_* model
+    assert ref is want or "x" in name
+    # a block names its isotropy algebra and stores none of its data
+    keys = {line.split()[0] for line in text.splitlines()}
+    assert keys == {"algebra", "dim", "labels", "c", "ip", "space",
+                    "h_indices", "metric", "isotropy"} - (
+        set() if space.g.structure.any() else {"c"})
+    assert text.count("\nisotropy ") == 1
+
+
+def test_text_keeps_only_the_name_of_a_sum():
+    s2, s3, s4 = (ss.catalog(f"S{n}") for n in (2, 3, 4))
+    # the name carries no nesting: a sum nested to the right reloads
+    # nested to the left, with the same structure constants
+    right = ss.product_space(s2, ss.product_space(s3, s4))
+    back = ss.space_from_text(ss.space_to_text(right)).isotropy_ref
+    assert back.name == right.isotropy_ref.name == "so(2)+so(3)+so(4)"
+    assert _same_fractions(back.structure, right.isotropy_ref.structure)
+    assert algebra_tree(back) == algebra_tree(
+        ss.catalog("S2xS3xS4").isotropy_ref) != algebra_tree(right.isotropy_ref)
+    # a sum with a summand that is not spelled out reloads as h under its
+    # name, without factors
+    bare = ss.make_symmetric_space(liealg.make_so(4), (3, 4, 5), [1] * 3, "B")
+    prod = ss.product_space(bare, s2)
+    back = ss.space_from_text(ss.space_to_text(prod)).isotropy_ref
+    assert back.name == prod.isotropy_ref.name == "so(4)|h+so(2)"
+    assert _same_fractions(back.structure, prod.isotropy_ref.structure)
+    assert prod.isotropy_ref.factors and not back.factors
 
 
 def test_isotropy_rep_is_homomorphism():
