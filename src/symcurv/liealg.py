@@ -292,18 +292,19 @@ def from_text(text):
         raise ValueError("missing algebra header")
     if not head["dim"]:
         raise ValueError("dim: missing value")
-    dim = number(" ".join(["dim", *head["dim"]]), head["dim"][0], int)
+    line = " ".join(["dim", *head["dim"]])
+    if (dim := number(line, head["dim"][0], int)) < 0:
+        raise ValueError(f"{line}: a dimension cannot be negative")
+    labels = head.get("labels") or [f"X{k + 1}" for k in range(dim)]
+    if len(labels) != dim:
+        raise ValueError(f"labels {' '.join(labels)}: {len(labels)} labels, dim is {dim}")
     c = ex.fzeros((dim, dim, dim))
     for (i, j, k), v in checked_entries("c", entries["c"], c.shape):
         c[i, j, k], c[j, i, k] = v, -v
     ip = ex.fzeros((dim, dim))
     for (i, j), v in checked_entries("ip", entries["ip"], ip.shape):
         ip[i, j] = ip[j, i] = v
-    alg = LieAlgebraModel(
-        name=" ".join(head["algebra"]), dim=dim,
-        basis_labels=tuple(head.get("labels") or (f"X{k + 1}" for k in range(dim))),
-        structure=c, inner_product=ip,
-    )
+    alg = LieAlgebraModel(" ".join(head["algebra"]), dim, tuple(labels), c, ip)
     report = validate(alg)
     if not report.ok:
         check, idx = report.witness

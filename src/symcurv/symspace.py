@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _exact as ex
 from . import liealg, linalg
-from .linalg import bivector_bracket, bivector_coeffs_from_skew, pair_index
+from .linalg import bivector_bracket
 
 
 class SymSpaceError(Exception):
@@ -66,35 +66,38 @@ class SymmetricSpaceModel:
         return len(self.h_indices)
 
     @functools.cached_property
+    def brackets(self):
+        """g's slices [m, m] -> h and [h, m] -> m, shapes (m, m, h) and
+        (h, m, m), exact, in the orthonormal frame x_a = X_a / sqrt(d_a) of
+        m; h keeps its basis. A nonzero structure[i, j, k] is multiplied by
+        sqrt(d_k / (d_i d_j)), with d = 1 on h; a zero one takes no root."""
+        m, h, st = self.m_indices, self.h_indices, self.g.structure
+        d = np.full(self.g.dim, ex.ONE, dtype=object)
+        d[list(m)] = self.metric_diag
+        out = st[np.ix_(m, m, h)], st[np.ix_(h, m, m)]
+        for s, axes in zip(out, ((m, m, h), (h, m, m))):
+            for idx in zip(*np.nonzero(s)):
+                i, j, k = (ax[n] for ax, n in zip(axes, idx))  # g's indices
+                try:
+                    s[idx] *= ex.fsqrt(d[k] / (d[i] * d[j]))
+                except ValueError as e:
+                    raise ValueError(f"metric scale of bracket ({i}, {j}, {k}): {e}") from None
+        return out
+
+    @functools.cached_property
     def flat_dim(self):
         """Dimension of the Euclidean de Rham factor, {X in m : R(X, .) = 0}
         with R(X, Y) = -ad([X, Y]) on m: dim m less the exact rank of the
-        integer product of the slices [m, m] -> h and [h, m] -> m."""
-        m, h, n, k = self.m_indices, self.h_indices, self.m_dim, self.h_dim
-        mmh, _ = ex.scale_to_int(self.g.structure[np.ix_(m, m, h)])
-        hmm, _ = ex.scale_to_int(self.g.structure[np.ix_(h, m, m)])
-        # row a of r: [[X_a, X_b], X_c] in m's basis, for every b and c
+        integer product of the two bracket slices."""
+        (mmh, _), (hmm, _) = map(ex.scale_to_int, self.brackets)
+        n, k = self.m_dim, self.h_dim
+        # row a of r: [[x_a, x_b], x_c] in m's frame, for every b and c
         r = ex.int_matmul(mmh.reshape(n * n, k), hmm.reshape(k, n * n)).reshape(n, n ** 3)
         return n - ex.rank(ex.int_matmul(r, r.T))
 
-    @functools.cached_property
-    def ad_h(self):
-        """Exact ad(h)|_m in the orthonormal frame x_a = X_a / sqrt(d_a).
-
-        Shape (h_dim, m_dim, m_dim): ad(H_t) x_c = sum_e ad_h[t, e, c] x_e,
-        read off the slice structure[h, m, m]. The frame scale
-        sqrt(d_e / d_c) is only taken where that slice is nonzero.
-        """
-        d = self.metric_diag
-        s = self.g.structure[np.ix_(self.h_indices, self.m_indices,
-                                    self.m_indices)]
-        out = ex.fzeros((self.h_dim, self.m_dim, self.m_dim))
-        for t, c, e in zip(*np.nonzero(s)):
-            out[t, e, c] = s[t, c, e] * ex.fsqrt(d[e] / d[c])
-        return out
-
-    # read-only float ad_h: the images of the isotropy basis
-    ad_ref = functools.cached_property(lambda self: _frozen(self.ad_h))
+    # read-only float ad(h)|_m: ad_ref[t] x_c = sum_e ad_ref[t, e, c] x_e
+    ad_ref = functools.cached_property(lambda self: _frozen(
+        np.ascontiguousarray(self.brackets[1].transpose(0, 2, 1))))
 
     @functools.cached_property
     def holonomy(self):
@@ -196,10 +199,7 @@ def make_symmetric_space(g, h_indices, metric_diag, name, isotropy_ref=None):
     if len(bad):
         raise ValueError(f"isotropy algebra {isotropy_ref.name} differs from h "
                          f"at {tuple(int(v) for v in bad[0])}")
-    return SymmetricSpaceModel(
-        g=g, h_indices=h_indices, m_indices=m_indices, metric_diag=metric_diag,
-        name=name, isotropy_ref=isotropy_ref,
-    )
+    return SymmetricSpaceModel(g, h_indices, m_indices, metric_diag, name, isotropy_ref)
 
 
 def _h_algebra(g, h, name):
@@ -222,19 +222,14 @@ def curvature_operator(space) -> CurvatureOperator:
 
 def _build_curvature(space):
     """R^M of space and its h_coeff, exact, R^M checked self-adjoint."""
-    d = space.metric_diag
-    pairs = pair_index(space.m_dim)
-    # [x_a, x_b] in h coordinates for the orthonormal frame x_a = X_a / sqrt(d_a)
-    bracket = space.g.structure[np.ix_(space.m_indices, space.m_indices,
-                                       space.h_indices)]
-    hc = ex.fzeros((len(pairs), space.h_dim))
-    for p, (a, b) in enumerate(pairs):
-        hc[p] = bracket[a, b] * ex.fsqrt(ex.ONE / (d[a] * d[b]))
-    # row t: ad(H_t)|_m as a bivector; column p of R^M is hc[p] @ biv,
-    # multiplied, and checked self-adjoint, in scaled integers
-    biv = bivector_coeffs_from_skew(space.ad_h)
+    mmh, hmm = space.brackets
+    i, j = np.triu_indices(space.m_dim, 1)  # the pair_index order
+    # row p of hc: [x_a, x_b] in h; row t of biv: ad(H_t)|_m as a bivector.
+    # Column p of R^M is hc[p] @ biv, multiplied, and checked self-adjoint,
+    # in scaled integers
+    hc, biv = mmh[i, j], hmm[:, i, j]
     num, den = ex.scale_to_int(np.concatenate([biv, hc.T], axis=1))
-    prod = ex.int_matmul(num[:, :len(pairs)].T, num[:, len(pairs):])
+    prod = ex.int_matmul(num[:, :len(i)].T, num[:, len(i):])
     if np.count_nonzero(prod - prod.T):
         raise SymSpaceError("curvature operator failed exact self-adjointness")
     mat = ex.from_scaled_int(prod, den * den)
@@ -443,9 +438,11 @@ def space_from_text(text):
     h = tuple(liealg.number(line, v, int) for v in words)
     if len(set(h)) != len(h) or not all(0 <= i < alg.dim for i in h):
         raise ValueError(f"{line}: not distinct indices in 0..{alg.dim - 1}")
+    if len(metric := head["metric"]) != alg.dim - len(h):
+        raise ValueError(f"metric {' '.join(metric)}: {len(metric)} values, "
+                         f"m has dimension {alg.dim - len(h)}")
     return make_symmetric_space(
-        alg, h, [liealg.number("metric", v) for v in head["metric"]],
-        " ".join(head["space"]),
+        alg, h, [liealg.number("metric", v) for v in metric], " ".join(head["space"]),
         isotropy_ref=_named_isotropy(iso, alg, h) if iso else None)
 
 

@@ -609,6 +609,13 @@ _HUGE = 10 ** 400
     (("info", "Nx", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
     # ValueError: a spelled n below make_so's range
     (("info", "Lo", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    # ValueError: a count that does not fit its dimension (a short labels
+    # line without an isotropy line, a long one, a metric line of the
+    # wrong length) or a negative dimension
+    (("info", "Ls", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "Ll", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "Ml", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
+    (("info", "Dn", "--config", "spaces.txt"), cli.EXIT_PARSE_ERROR),
 ])
 def test_fresh_process_error_exits_with_one_line(tmp_path, argv, code):
     # the bundle layers' error classes are imported on the error path only,
@@ -626,10 +633,12 @@ def test_fresh_process_error_exits_with_one_line(tmp_path, argv, code):
             ("H4", "h_indices 3 4 5", "h_indices 3 4 4"),
             ("Dx", "dim 6", "dim x"),
             ("Nx", "isotropy algebra so(3)", "isotropy algebra so(100000)"),
-            ("Lo", "isotropy algebra so(3)", "isotropy algebra so(1)+so(3)")]:
-        renamed = _renamed_text("S3", name)
-        assert f"\n{old}\n" in renamed
-        blocks.append(renamed.replace(f"\n{old}\n", f"\n{new}\n"))
+            ("Lo", "isotropy algebra so(3)", "isotropy algebra so(1)+so(3)"),
+            ("Ll", _S3_LABELS, _S3_LABELS + " E56"),
+            ("Ml", "metric 1 1 1", "metric 1 1"),
+            ("Dn", "dim 6", "dim -1")]:
+        blocks.append(_edited("S3", name, [(old, new)]))
+    blocks.append(_edited("S3", "Ls", _SHORT_LABELS))
     (tmp_path / "spaces.txt").write_text("\n".join(blocks))
     res = subprocess.run([sys.executable, "-m", "symcurv.cli", *argv],
                          cwd=tmp_path, env=_env(), capture_output=True,
@@ -664,18 +673,57 @@ def test_config_index_out_of_range_is_a_parse_error(tmp_path, capsys, line):
     assert len(err.splitlines()) == 1
 
 
+_S3_LABELS = "labels E12 E13 E14 E23 E24 E34"
+# two labels for dim 6 and no isotropy line, so that h itself, which takes
+# its labels from the list, is the isotropy algebra
+_SHORT_LABELS = [(_S3_LABELS, "labels E12 E13"), ("isotropy algebra so(3)", "")]
+
+
+def _edited(name, new_name, edits):
+    """The renamed catalog block with each (old, new) line replaced; an
+    empty new line drops the old one."""
+    text = _renamed_text(name, new_name)
+    for old, new in edits:
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n" if new else "\n")
+    return text
+
+
 @pytest.mark.parametrize("old, new, want", [
     ("c 0 1 3 1", "c 0 1.5 3 1", "c 0 1.5 3 1: '1.5' is not an integer"),
     ("dim 6", "dim x", "dim x: 'x' is not an integer"),
     ("h_indices 3 4 5", "h_indices 3 4 x", "h_indices 3 4 x: 'x' is not an integer"),
     ("h_indices 3 4 5", "h_indices 3 4 4",
      "h_indices 3 4 4: not distinct indices in 0..5"),
+    # counts that do not fit their dimension, and a negative dimension
+    ("dim 6", "dim -1", "dim -1: a dimension cannot be negative"),
+    (_S3_LABELS, _S3_LABELS + " E56", f"{_S3_LABELS} E56: 7 labels, dim is 6"),
+    (_S3_LABELS, "labels E12 E13", "labels E12 E13: 2 labels, dim is 6"),
+    ("metric 1 1 1", "metric 1 1", "metric 1 1: 2 values, m has dimension 3"),
+    ("metric 1 1 1", "metric 1 1 1 1", "metric 1 1 1 1: 4 values, m has dimension 3"),
 ])
 def test_config_integer_error_names_its_line(tmp_path, capsys, old, new, want):
     text = _renamed_text("S3", "Bad").replace(f"\n{old}\n", f"\n{new}\n")
     assert new in text
     assert _config_err(tmp_path, capsys, text, "Bad") == (
         cli.EXIT_PARSE_ERROR, f"error: {want}\n")
+
+
+def test_rescaled_product_config_loads(tmp_path, capsys):
+    # S2 x S2 with the second factor of radius sqrt(2): its mixed pairs
+    # have d_a d_b = 2, and their zero brackets take no root
+    text = _edited("S2xS2", "S2S2r", [("metric 1 1 1 1", "metric 1 1 2 2")])
+    path = tmp_path / "spaces.txt"
+    path.write_text(text)
+    code, out = run(capsys, "info", "S2S2r", "--config", str(path))
+    data = json.loads(out)
+    assert code == 0
+    assert [(s["eigenvalue"], s["multiplicity"]) for s in data["spectrum"]] == [
+        (0.0, 4), (0.5, 1), (1.0, 1)]
+    assert (data["flat_dim"], data["condition_a"]) == (0, "holds")
+    code, out = run(capsys, "verify", "S2S2r", "ext(spin2:1,spin2:1)",
+                    "--config", str(path))
+    assert code == 0 and json.loads(out)["all_passed"] is True
 
 
 @pytest.mark.parametrize("text, key", [

@@ -3,7 +3,9 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from symcurv.linalg import EPS, bivector_coeffs_from_skew, pair_index
 from counterexample import is_counterexample
 from eigenspaces import eigenspace_structure_residuals
 from homomorphism import bracket, validate_homomorphism
+from record_exact_digests import SPACES as _DIGEST_SPACES, digests
 from trees import algebra_tree
 
 
@@ -117,6 +120,36 @@ def test_rescale_metric():
     s2 = ss.rescale_metric(ss.catalog("S2"), 4)
     curv = ss.curvature_operator(s2)
     assert curv.matrix[0, 0] == Fraction(1, 4)
+
+
+def test_rescaled_product_takes_no_root_where_a_bracket_vanishes():
+    # S2 of radius sqrt(2) times the unit S2: a mixed pair has d_a d_b = 2,
+    # but its bracket is zero, so the irrational sqrt(1/2) is never taken
+    sa, sb = ss.rescale_metric(ss.catalog("S2"), 2), ss.catalog("S2")
+    prod = ss.product_space(sa, sb)
+    _assert_curvature_blockwise(prod, sa, sb)
+    assert ss.curvature_operator(sa).matrix[0, 0] == Fraction(1, 2)
+    assert prod.flat_dim == 0 and ss.condition_a(prod).holds
+
+
+def test_irrational_frame_scale_names_its_bracket():
+    # unchecked metric 1 2 on S2's m: [X_0, X_1] = X_2 needs sqrt(1/2)
+    bad = dataclasses.replace(ss.catalog("S2"), metric_diag=ex.farray([1, 2]))
+    with pytest.raises(ValueError, match=r"^metric scale of bracket \(0, 1, 2\): "
+                       r"1/2 is not a square of a rational$"):
+        ss.curvature_operator(bad)
+
+
+with open(os.path.join(os.path.dirname(__file__), "exact_digests.json")) as _fh:
+    _EXACT_DIGESTS = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", _DIGEST_SPACES)
+def test_exact_layer_matches_recorded_digests(name):
+    # recorded at a known-good commit by tests/record_exact_digests.py: a
+    # refactor of the exact layer must reproduce them unedited
+    assert list(_EXACT_DIGESTS) == _DIGEST_SPACES
+    assert digests(name) == _EXACT_DIGESTS[name]
 
 
 def test_catalog_errors():
@@ -276,8 +309,9 @@ def test_isotropy_algebra_is_h_in_its_basis(name):
 @pytest.mark.parametrize("name", _ISOTROPY_SPACES)
 def test_ad_ref_matches_fraction_tensordot(name):
     space = ss.catalog(name)
-    want = ex.to_float(np.tensordot(ex.feye(space.h_dim), space.ad_h,
-                                    axes=(1, 0)))
+    # ad(H_t) x_c = sum_e [H_t, x_c]_e x_e: the [h, m] -> m slice, transposed
+    ad_h = space.brackets[1].transpose(0, 2, 1)
+    want = ex.to_float(np.tensordot(ex.feye(space.h_dim), ad_h, axes=(1, 0)))
     assert space.ad_ref.tobytes() == want.tobytes()
     assert space.ad_ref.shape == want.shape
 
@@ -312,7 +346,17 @@ def test_product_of_catalog_spaces_is_blockwise(a, b):
         assert ss.condition_a(space).holds == (space.flat_dim <= 1)
     want = reps.external_sum(ss.isotropy_rep(sa), ss.isotropy_rep(sb))
     assert ss.isotropy_rep(prod).images.tobytes() == want.images.tobytes()
-    # R^M on the A-pairs and on the B-pairs is each factor's, zero elsewhere
+    _assert_curvature_blockwise(prod, sa, sb)
+    # product_space skips make_symmetric_space's checks; they still hold
+    for space in (sa, sb, prod):
+        checked = ss.make_symmetric_space(
+            space.g, space.h_indices, space.metric_diag, space.name,
+            isotropy_ref=space.isotropy_ref)
+        assert checked.m_indices == space.m_indices
+
+
+def _assert_curvature_blockwise(prod, sa, sb):
+    """R^M on the A-pairs and on the B-pairs is each factor's, zero elsewhere."""
     na, nb = sa.m_dim, sb.m_dim
     pairs = pair_index(na + nb)
     blocks = [[p for p, (i, j) in enumerate(pairs) if j < na],
@@ -323,12 +367,6 @@ def test_product_of_catalog_spaces_is_blockwise(a, b):
                                ss.curvature_operator(factor).matrix)
         mat[np.ix_(rows, rows)] = ex.ZERO
     assert ex.is_zero(mat)
-    # product_space skips make_symmetric_space's checks; they still hold
-    for space in (sa, sb, prod):
-        checked = ss.make_symmetric_space(
-            space.g, space.h_indices, space.metric_diag, space.name,
-            isotropy_ref=space.isotropy_ref)
-        assert checked.m_indices == space.m_indices
 
 
 def test_products_validate_only_their_atoms(monkeypatch):
